@@ -61,6 +61,7 @@ from .operators import (
     heat_values,
     toeplitz,
     weyl,
+    weyl_matrices,
 )
 from .quadrature import GaussGrid, default_window, gaussian_grid, lebesgue_grid
 from .serialize import load_operator, save_operator

@@ -225,18 +225,20 @@ def cmd_verify(cfg) -> int:
     )
 
     proj = degree_projector(params, params.D // 2)
-    z, w = 0.5, 0.25 + 0.25j
+    # z and w repeat z0 and w0 on every axis; the phase is e^{-i Im<z, w>/t}
+    z0, w0 = 0.5, 0.25 + 0.25j
+    z, w = np.full(params.n, z0, dtype=complex), np.full(params.n, w0, dtype=complex)
     lhs = weyl(params, z) @ weyl(params, w)
-    phase = np.exp(-1j * np.imag(z * np.conj(w)) / params.t)
+    phase = np.exp(-1j * np.imag(np.vdot(w, z)) / params.t)
     rhs = phase * weyl(params, z + w)
     ok &= record(
         "weyl-commutation",
-        f"z={z}, w={w}",
+        f"z={z0}, w={w0}",
         operator_norm_2(proj @ (lhs - rhs) @ proj),
         cfg["tol.weyl"],
     )
 
-    k0 = kernel_coefficients(params, 0.3)
+    k0 = kernel_coefficients(params, np.full(params.n, 0.3))
     c = rng.standard_normal(params.dim) + 1j * rng.standard_normal(params.dim)
     decay = np.exp(-0.3 * np.arange(params.dim))
     from .model import FockVector

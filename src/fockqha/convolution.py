@@ -24,7 +24,7 @@ from .model import (
     parity_matrix,
     pc_operator,
 )
-from .operators import weyl
+from .operators import _conjugations
 from .quadrature import default_window, lebesgue_grid
 from .symbols import Parity, Symbol
 
@@ -35,7 +35,6 @@ class ConvolutionConfig:
 
     window: float
     m: int = 40
-    deterministic: bool = True
 
     def __post_init__(self):
         if self.window <= 0 or self.m < 2:
@@ -45,7 +44,7 @@ class ConvolutionConfig:
         return lebesgue_grid(self.window, self.m, n)
 
     def doubled(self) -> "ConvolutionConfig":
-        return ConvolutionConfig(2.0 * self.window, 2 * self.m, self.deterministic)
+        return ConvolutionConfig(2.0 * self.window, 2 * self.m)
 
 
 def default_config(params: FockParams, m: int = 64) -> ConvolutionConfig:
@@ -79,9 +78,11 @@ def u_conjugate(A: FockOperator) -> FockOperator:
 def conv_fun_op(f, A: FockOperator, cfg: ConvolutionConfig) -> FockOperator:
     """f * A = quadrature Bochner integral of f(z) alpha_z(A) dV(z).
 
-    Satisfies ||f * A|| <= ||f||_{L^1} ||A|| up to truncation.  The
-    summation order is the fixed grid order, so results are
-    reproducible bit-for-bit.
+    The sum of c_i W_i A W_i^* over the nodes with nonzero weight
+    c_i = w_i f(z_i) is one (dim x B dim) by (B dim x dim) product per
+    block of B nodes.  Satisfies ||f * A|| <= ||f||_{L^1} ||A|| up to
+    truncation.  The blocks and the summation order are fixed by the
+    grid, so results are reproducible bit-for-bit.
     """
     params = A.params
     grid = cfg.grid(params.n)
@@ -89,22 +90,24 @@ def conv_fun_op(f, A: FockOperator, cfg: ConvolutionConfig) -> FockOperator:
     if not np.all(np.isfinite(fvals)):
         i = int(np.argmax(~np.isfinite(fvals)))
         raise ValueError(f"non-finite kernel value at node {grid.nodes[i]}")
-    acc = np.zeros_like(A.matrix)
-    for i in range(grid.size):
-        c = grid.weights[i] * fvals[i]
-        if c == 0.0:
-            continue
-        z = grid.nodes[i]
-        Wz = weyl(params, z).matrix
-        Wmz = weyl(params, -z).matrix
-        acc += c * (Wz @ A.matrix @ Wmz)
+    c = grid.weights * fvals
+    keep = np.flatnonzero(c)
+    c = c[keep]
+    d = params.dim
+    acc = np.zeros((d, d), dtype=complex)
+    for rows, W, WA in _conjugations(params, grid.nodes[keep], A.matrix):
+        WA *= c[rows, None, None]
+        right = W.transpose(0, 2, 1).reshape(-1, d)
+        acc += WA.transpose(1, 0, 2).reshape(d, -1) @ np.conjugate(right, out=right)
     return FockOperator(params, acc)
 
 
 class OperatorConvolution(Symbol):
     """A * B as a lazily evaluated function z -> Tr(A alpha_z(U B U)).
 
-    Each evaluation point costs two dense matrix products.
+    Points are evaluated a block at a time: with W_z the Weyl matrices of
+    the block, Tr(A W_z UBU W_z^*) is the sum of (W_z UBU) times the
+    entries of A^T conj(W_z).
     """
 
     def __init__(self, A: FockOperator, B: FockOperator):
@@ -117,12 +120,9 @@ class OperatorConvolution(Symbol):
     def eval(self, points):
         params = self.A.params
         out = np.empty(points.shape[0], dtype=complex)
-        MA = self.A.matrix
-        for i, z in enumerate(points):
-            Wz = weyl(params, z).matrix
-            Wmz = weyl(params, -z).matrix
-            X = Wz @ self._ubu @ Wmz
-            out[i] = np.sum(MA * X.T)
+        At = self.A.matrix.T
+        for rows, W, WX in _conjugations(params, points, self._ubu):
+            out[rows] = np.einsum("bjk,bjk->b", WX, At @ np.conj(W))
         return out
 
 

@@ -98,6 +98,7 @@ def _log_norm_factors(params: FockParams) -> np.ndarray:
     for j, alpha in enumerate(idx):
         s = sum(math.lgamma(a + 1) for a in alpha)
         out[j] = 0.5 * (s + sum(alpha) * math.log(params.t))
+    out.flags.writeable = False
     return out
 
 
@@ -142,11 +143,14 @@ def _grid_basis(params: FockParams):
     """Basis values on the Gaussian grid and the weighted conjugate.
 
     Returns (E, B) with E[j, i] = e_j(node_i) and B = conj(E) * weights,
-    so that <f e_b, e_a> = (B * f) @ E.T.
+    so that <f e_b, e_a> = (B * f) @ E.T.  Both are cached and shared,
+    so they are read-only.
     """
     grid = params.grid()
     E = basis_matrix(params, grid.nodes)
     B = np.conj(E) * grid.weights
+    E.flags.writeable = False
+    B.flags.writeable = False
     return E, B
 
 

@@ -29,7 +29,8 @@ class GaussGrid:
 
     nodes has shape (P, n) complex; weights has shape (P,).
     measure is a human-readable tag, e.g. "gaussian(t=1.0)" or
-    "lebesgue(W=8.0, m=40)".
+    "lebesgue(W=8.0, m=40)".  Both arrays are read-only copies, since
+    the grid builders cache and share their grids.
     """
 
     nodes: np.ndarray
@@ -37,8 +38,10 @@ class GaussGrid:
     measure: str
 
     def __post_init__(self):
-        object.__setattr__(self, "nodes", np.ascontiguousarray(self.nodes))
-        object.__setattr__(self, "weights", np.ascontiguousarray(self.weights, dtype=float))
+        for name, dtype in (("nodes", None), ("weights", float)):
+            arr = np.array(getattr(self, name), dtype=dtype, order="C")
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
         if self.nodes.ndim != 2 or self.nodes.shape[0] != self.weights.shape[0]:
             raise ValueError("nodes must be (P, n) and weights (P,)")
 

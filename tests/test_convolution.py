@@ -20,6 +20,7 @@ from fockqha.convolution import (
     young_ratio,
 )
 from fockqha.model import (
+    FockOperator,
     FockParams,
     FockVector,
     degree_projector,
@@ -30,7 +31,7 @@ from fockqha.model import (
     pc_operator,
     rank_one,
 )
-from fockqha.operators import BerezinSymbol, alpha_op, berezin_values, toeplitz
+from fockqha.operators import BerezinSymbol, alpha_op, berezin_values, toeplitz, weyl
 from fockqha.symbols import Constant, Gaussian, PlaneWave, Translate, heat_gaussian
 
 P = FockParams(1, 1.0, 16, 20)
@@ -60,6 +61,33 @@ def test_u_conjugate_matches_parity_sandwich():
 def test_conv_zero_function_gives_zero_operator():
     out = conv_fun_op(Constant(0.0), pc_operator(P), CFG)
     assert np.max(np.abs(out.matrix)) == 0.0
+
+
+def test_conv_fun_op_matches_per_node_sum():
+    # the batched blocks against the defining sum c_i W_i A W_i^*, node by node
+    p = FockParams(1, 1.0, 10, 12)
+    cfg = ConvolutionConfig(4.0, 12)
+    f = Gaussian(center=0.3 - 0.2j, width=1.5)
+    A = toeplitz(p, Gaussian(center=-0.4, width=2.0)) + 0.5 * rank_one(
+        kernel_coefficients(p, 0.2j), kernel_coefficients(p, 0.5)
+    )
+    grid = cfg.grid(1)
+    want = np.zeros((p.dim, p.dim), dtype=complex)
+    for z, c in zip(grid.nodes, grid.weights * f(grid.nodes)):
+        W = weyl(p, z).matrix
+        want += c * (W @ A.matrix @ W.conj().T)
+    got = conv_fun_op(f, A, cfg).matrix
+    assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
+
+
+def test_operator_convolution_matches_per_point_trace():
+    p = FockParams(1, 1.0, 10, 12)
+    A = toeplitz(p, Gaussian(center=0.3, width=1.0))
+    B = rank_one(kernel_coefficients(p, 0.1), kernel_coefficients(p, -0.3j))
+    pts = np.array([0.0, 0.4 - 0.7j, -1.5, 2.0j])[:, None]
+    UBU = u_conjugate(B).matrix
+    want = [np.trace(A.matrix @ alpha_op(FockOperator(p, UBU), z).matrix) for z in pts]
+    assert np.max(np.abs(conv_op_op(A, B)(pts) - want)) < 1e-14
 
 
 def test_approximate_identity_two_point():

@@ -186,3 +186,10 @@ def test_basis_matrix_consistency():
     for j, alpha in enumerate(multi_indices(P1)):
         for i in range(2):
             assert E[j, i] == pytest.approx(eval_basis(P1, alpha, pts[i, 0]))
+
+
+def test_cached_grid_basis_is_read_only():
+    E, B = M._grid_basis(FockParams(1, 1.0, 6, 8))
+    for arr in (E, B):
+        with pytest.raises(ValueError):
+            arr[0, 0] = 99.0

@@ -1,8 +1,13 @@
 """Smoke checks in two complex variables (n = 2)."""
 
+import contextlib
+import io
+import json
+
 import numpy as np
 
 import fockqha.model as M
+from fockqha.cli import main
 from fockqha.model import FockParams, identity_operator, kernel_coefficients
 from fockqha.operators import berezin_values, toeplitz, weyl
 from fockqha.symbols import Constant, Gaussian
@@ -41,3 +46,24 @@ def test_toeplitz_gaussian_hermitian_n2():
     f = Gaussian(center=np.zeros(2, dtype=complex), width=2.0, n=2)
     T = toeplitz(P2, f)
     assert np.max(np.abs(T.matrix - T.matrix.conj().T)) < 1e-12
+
+
+def test_verify_runs_n2(tmp_path):
+    # the truncation residuals at D = 6 may exceed the tolerances, so the
+    # exit status may be 1; every identity must still be checked and reported
+    argv = ["--n", "2", "--D", "6", "--Q", "8", "--m", "8", "--outdir", str(tmp_path), "verify"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        status = main(argv)
+    assert status in (0, 1)
+    report = json.loads((tmp_path / "verify_report.json").read_text())
+    assert [r["identity"] for r in report["records"]] == [
+        "orthonormality",
+        "toeplitz-of-one",
+        "weyl-commutation",
+        "trace-identity",
+        "duality-1",
+        "duality-2",
+        "duality-3",
+        "two-pipeline-toeplitz",
+    ]
+    assert report["passed"] is (status == 0)

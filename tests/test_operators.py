@@ -1,10 +1,16 @@
-"""Weyl/Toeplitz/Berezin/heat oracles, including the closed-form Weyl check."""
+"""Weyl/Toeplitz/Berezin/heat oracles.
+
+Weyl matrices are checked against high-order Gauss-Hermite quadrature of
+their defining integral, which shares no code with the Laguerre
+recurrence that computes them.
+"""
 
 import numpy as np
 import pytest
 
 from fockqha.model import (
     FockParams,
+    basis_matrix,
     degree_projector,
     identity_operator,
     kernel_coefficients,
@@ -22,11 +28,29 @@ from fockqha.operators import (
     heat_values,
     toeplitz,
     weyl,
-    weyl_matrix_closed_form,
+    weyl_matrices,
 )
 from fockqha.symbols import Constant, Gaussian, Polynomial, Radial, heat_gaussian
 
 P = FockParams(1, 1.0, 16, 20)
+
+
+def weyl_by_quadrature(params, z, Q=160, block=1 << 16):
+    """<W_z e_b, e_a> = integral of k_z(w) e_b(w - z) conj(e_a(w)) dmu_t(w).
+
+    Gauss-Hermite quadrature of order Q per real axis, summed over blocks
+    of nodes.  The integrand is entire but not polynomial, so the error
+    falls with Q; at Q = 160 it is at roundoff for D <= 40, |z| <= 12.
+    """
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    grid = FockParams(params.n, params.t, params.D, Q).grid()
+    W = np.zeros((params.dim, params.dim), dtype=complex)
+    for start in range(0, grid.size, block):
+        nodes = grid.nodes[start : start + block]
+        B = np.conj(basis_matrix(params, nodes)) * grid.weights[start : start + block]
+        k = np.exp(nodes @ np.conj(z) / params.t - np.sum(np.abs(z) ** 2) / (2 * params.t))
+        W += (B * k) @ basis_matrix(params, nodes - z).T
+    return W
 
 
 def test_weyl_at_origin_is_identity():
@@ -50,13 +74,53 @@ def test_weyl_vacuum_matrix_element():
 
 
 def test_weyl_quadrature_matches_closed_form():
-    # the Weyl integrand is entire, not polynomial, so the quadrature is
-    # spectrally (not exactly) accurate; a generous Q makes it converge
-    p = FockParams(1, 1.0, 10, 30)
-    for z in [0.4, 0.2 + 0.6j]:
-        W = weyl(p, z)
-        M = weyl_matrix_closed_form(p, z)
-        assert np.max(np.abs(W.matrix - M)) < 1e-10
+    # the closed form against Q = 160 quadrature over the region the
+    # convolution grids reach; the largest deviation measured is 2e-14,
+    # at small |z| and D = 40
+    for D in (16, 24, 40):
+        p = FockParams(1, 1.0, D, D + 2)
+        for r in (0.1, 0.5, 2.0, 4.0, 8.0, 12.0):
+            for angle in (0.7, -2.5):
+                z = r * np.exp(1j * angle)
+                err = np.max(np.abs(weyl(p, z).matrix - weyl_by_quadrature(p, z)))
+                assert err < 1e-13, (D, z, err)
+
+
+def test_weyl_matches_quadrature_n2():
+    # n = 2 needs Q^4 nodes, so the oracle runs at Q = 24 (error 7e-16 here)
+    p = FockParams(2, 1.0, 6, 8)
+    for z in ([0.6 - 0.3j, -0.4j], [1.5, 1.0 + 1.0j]):
+        err = np.max(np.abs(weyl(p, z).matrix - weyl_by_quadrature(p, z, Q=24)))
+        assert err < 1e-13, (z, err)
+
+
+def test_weyl_matrices_batch_matches_single_calls():
+    p = FockParams(2, 1.0, 5, 7)
+    zs = np.array([[0.0, 0.0], [0.3, -0.2j], [1.0 + 2.0j, -0.5]])
+    Ws = weyl_matrices(p, zs)
+    assert Ws.shape == (3, p.dim, p.dim)
+    for z, W in zip(zs, Ws):
+        assert np.array_equal(W, weyl(p, z).matrix)
+    with pytest.raises(ValueError, match="shape"):
+        weyl_matrices(p, zs[:, :1])
+
+
+def test_weyl_at_origin_emits_no_warning():
+    with np.errstate(all="raise"):
+        W = weyl(P, 0.0)
+        weyl_matrices(FockParams(2, 1.0, 6, 8), np.zeros((2, 2)))
+    assert np.array_equal(W.matrix, np.eye(P.dim))
+
+
+def test_weyl_of_minus_z_is_adjoint():
+    z = 1.3 - 0.4j
+    assert np.array_equal(weyl(P, -z).matrix, weyl(P, z).matrix.conj().T)
+
+
+def test_weyl_result_is_not_shared():
+    p = FockParams(1, 1.0, 8, 10)
+    weyl(p, 0.5).matrix[0, 0] = 99
+    assert weyl(p, 0.5).matrix[0, 0] == pytest.approx(np.exp(-0.125), abs=1e-15)
 
 
 def test_weyl_commutation_projected():

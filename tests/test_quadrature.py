@@ -113,3 +113,10 @@ def test_invalid_grid_arguments():
         lebesgue_grid(-1.0, 8, 1)
     with pytest.raises(ValueError):
         lebesgue_grid(1.0, 1, 1)
+
+
+def test_cached_grid_arrays_are_read_only():
+    grid = gaussian_grid(1, 1.0, 6)
+    for arr in (grid.nodes, grid.weights, lebesgue_grid(2.0, 4, 1).nodes):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
