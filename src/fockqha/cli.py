@@ -142,8 +142,11 @@ def _write_json(path, payload, cfg):
 def parse_target(spec: str, params):
     """Target grammar: toeplitz:<width>[:<center>] | weyl:<z> | rank-one:<z>.
 
-    Complex numbers use python literal syntax, e.g. 0.5+0.5j.
+    Complex numbers use python literal syntax, e.g. 0.5+0.5j.  At n >= 2
+    the centre and z are repeated on every axis.
     """
+    import numpy as np
+
     from .model import kernel_coefficients, rank_one
     from .operators import toeplitz, weyl
     from .symbols import Gaussian
@@ -157,10 +160,10 @@ def parse_target(spec: str, params):
             return toeplitz(params, Gaussian(center=center, width=width, n=params.n))
         if kind == "weyl":
             z = complex(parts[1]) if len(parts) > 1 else 0.0
-            return weyl(params, z)
+            return weyl(params, np.full(params.n, z))
         if kind == "rank-one":
             z = complex(parts[1]) if len(parts) > 1 else 0.0
-            k = kernel_coefficients(params, z)
+            k = kernel_coefficients(params, np.full(params.n, z))
             return rank_one(k, k)
     except (IndexError, ValueError) as exc:
         raise ConfigError(f"malformed target spec {spec!r}: {exc}") from exc

@@ -24,7 +24,7 @@ from .model import (
     parity_matrix,
     pc_operator,
 )
-from .operators import _conjugations
+from .operators import _conjugations, _shifted_sums
 from .quadrature import default_window, lebesgue_grid
 from .symbols import Parity, Symbol
 
@@ -143,11 +143,7 @@ class FunctionConvolution(Symbol):
     def eval(self, points):
         grid = self.cfg.grid(self.n)
         fvals = np.asarray(self.f(grid.nodes))
-        out = np.empty(points.shape[0], dtype=complex)
-        for i, z in enumerate(points):
-            gvals = np.asarray(self.g(z[None, :] - grid.nodes))
-            out[i] = np.sum(grid.weights * fvals * gvals)
-        return out
+        return _shifted_sums(self.g, points, -grid.nodes, grid.weights * fvals)
 
 
 def conv_fun_fun(f, g, cfg: ConvolutionConfig, n: int = 1) -> FunctionConvolution:

@@ -110,7 +110,7 @@ def quantization_sweep(
         Tfg = toeplitz(params, fg)
         op_err = operator_norm_2(Tf @ Tg - Tfg)
         pts = _trusted_points(params, m)
-        smoothed = heat_values(fg, params.t, pts, n=params.n, Q=params.Q)
+        smoothed = heat_values(fg, params.t, pts, Q=params.Q)
         sup_err = float(np.max(np.abs(fg(pts) - smoothed)))
         meta = {"params": _params_dict(params)}
         op_records.append(SweepRecord(float(t), op_err, meta))
@@ -145,14 +145,13 @@ def compactness_diagnostic(
     if np.any(radii > A.params.trusted_radius + 1e-12):
         raise ValueError("all radii must lie inside the trusted window")
     theta = 2.0 * np.pi * np.arange(samples_per_circle) / samples_per_circle
-    profile = np.empty(radii.shape[0])
-    for i, r in enumerate(radii):
-        ring = r * np.exp(1j * theta)[:, None]
-        if A.params.n > 1:
-            pad = np.zeros((ring.shape[0], A.params.n - 1), dtype=complex)
-            ring = np.concatenate([ring, pad], axis=1)
-        profile[i] = float(np.max(np.abs(berezin_values(A, ring))))
-    return CompactnessDiagnostic(radii=radii, profile=profile, svals=singular_values(A))
+    # the circles lie in the first coordinate plane
+    rings = np.zeros((radii.shape[0] * samples_per_circle, A.params.n), dtype=complex)
+    rings[:, 0] = (radii[:, None] * np.exp(1j * theta)).ravel()
+    values = np.abs(berezin_values(A, rings)).reshape(radii.shape[0], samples_per_circle)
+    return CompactnessDiagnostic(
+        radii=radii, profile=np.max(values, axis=1), svals=singular_values(A)
+    )
 
 
 def invariance_check(

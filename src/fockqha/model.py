@@ -102,16 +102,6 @@ def _log_norm_factors(params: FockParams) -> np.ndarray:
     return out
 
 
-def eval_basis(params: FockParams, alpha, z) -> complex:
-    """e_alpha(z) = sqrt(1 / (alpha! t^{|alpha|})) z^alpha for a single point."""
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    norm = math.exp(
-        -0.5 * (sum(math.lgamma(a + 1) for a in alpha) + sum(alpha) * math.log(params.t))
-    )
-    mono = complex(np.prod([z[a] ** alpha[a] for a in range(params.n)]))
-    return norm * mono
-
-
 def basis_matrix(params: FockParams, points: np.ndarray) -> np.ndarray:
     """Evaluate all basis elements at many points: E[j, i] = e_{alpha_j}(points[i]).
 
@@ -119,7 +109,7 @@ def basis_matrix(params: FockParams, points: np.ndarray) -> np.ndarray:
     """
     points = np.atleast_2d(np.asarray(points, dtype=complex))
     P = points.shape[0]
-    idx = multi_indices(params)
+    idx = np.array(multi_indices(params))
     # per-axis power tables z_a^k, k = 0..D
     powers = []
     for a in range(params.n):
@@ -128,13 +118,10 @@ def basis_matrix(params: FockParams, points: np.ndarray) -> np.ndarray:
         for k in range(1, params.D + 1):
             tab[k] = tab[k - 1] * points[:, a]
         powers.append(tab)
-    norms = np.exp(-_log_norm_factors(params))
-    E = np.empty((len(idx), P), dtype=complex)
-    for j, alpha in enumerate(idx):
-        row = powers[0][alpha[0]].copy()
-        for a in range(1, params.n):
-            row *= powers[a][alpha[a]]
-        E[j] = norms[j] * row
+    E = powers[0][idx[:, 0]]
+    for a in range(1, params.n):
+        E *= powers[a][idx[:, a]]
+    E *= np.exp(-_log_norm_factors(params))[:, None]
     return E
 
 
@@ -297,16 +284,16 @@ def schatten_norm(A: FockOperator, p0: float) -> float:
     return float(np.sum(sv**p0) ** (1.0 / p0))
 
 
-def fock_p_norm(params: FockParams, coeffs: np.ndarray, p: float) -> float:
+def fock_p_norm(params: FockParams, coeffs: np.ndarray, p: float):
     """The F_t^p norm of the function with the given basis coefficients.
 
     Computed by quadrature against mu_{2t/p}, matching the definition
-    of the p-Fock space as L^p(mu_{2t/p}) functions.
+    of the p-Fock space as L^p(mu_{2t/p}) functions.  coeffs of shape
+    (..., dim) give one norm per row, from one basis evaluation.
     """
     grid = gaussian_grid(params.n, 2.0 * params.t / p, max(params.Q, 2))
-    E = basis_matrix(params, grid.nodes)
-    vals = coeffs @ E
-    return float(np.sum(grid.weights * np.abs(vals) ** p) ** (1.0 / p))
+    vals = np.asarray(coeffs) @ basis_matrix(params, grid.nodes)
+    return np.sum(grid.weights * np.abs(vals) ** p, axis=-1) ** (1.0 / p)
 
 
 def p_operator_norm_lower_bound(
@@ -327,15 +314,12 @@ def p_operator_norm_lower_bound(
     # restrict samples to modest degrees so truncation does not inflate ratios
     degrees = np.array([sum(a) for a in multi_indices(params)])
     mask = degrees <= max(1, params.D // 2)
-    best = 0.0
-    candidates = [np.where(mask, 1.0 + 0j, 0.0)]
-    for _ in range(trials):
-        c = rng.standard_normal(params.dim) + 1j * rng.standard_normal(params.dim)
-        candidates.append(np.where(mask, c, 0.0))
-    for c in candidates:
-        denom = fock_p_norm(params, c, p)
-        if denom == 0.0:
-            continue
-        num = fock_p_norm(params, A.matrix @ c, p)
-        best = max(best, num / denom)
-    return best
+    # per trial the real parts are drawn before the imaginary parts, so a
+    # run with more trials extends the candidates of a run with fewer
+    draws = rng.standard_normal((trials, 2, params.dim))
+    candidates = np.concatenate([np.ones((1, params.dim)), draws[:, 0] + 1j * draws[:, 1]])
+    candidates = np.where(mask, candidates, 0.0)
+    norms = fock_p_norm(params, np.concatenate([candidates, candidates @ A.matrix.T]), p)
+    denom, num = norms[: trials + 1], norms[trials + 1 :]
+    nonzero = denom > 0.0
+    return float(np.max(num[nonzero] / denom[nonzero], initial=0.0))

@@ -17,7 +17,6 @@ and 17 at |z| = 6) and is not used.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,13 +27,14 @@ from .model import (
     basis_matrix,
     multi_indices,
 )
-from .symbols import CallableSymbol, GridSymbol, Symbol
+from .quadrature import gaussian_grid
+from .symbols import GridSymbol, Symbol
 
 # Byte budget of one block of dim x dim complex matrices in the batched
-# conjugations.  A block and its few temporaries set the peak memory of a
-# convolution; 1 MiB (about 100 matrices at D = 24) measured both lower
-# peak memory and shorter runs than 4 MiB, and the products stay large
-# enough for BLAS.
+# conjugations, and of one block of shifted points in the shifted sums.
+# A block and its few temporaries set the peak memory of a convolution;
+# 1 MiB (about 100 matrices at D = 24) measured both lower peak memory and
+# shorter runs than 4 MiB, and the products stay large enough for BLAS.
 _CHUNK_BYTES = 2**20
 
 
@@ -126,6 +126,23 @@ def _conjugations(params: FockParams, zs: np.ndarray, A: np.ndarray):
         yield rows, W, WA
 
 
+def _shifted_sums(f, points: np.ndarray, shifts: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """The sums over j of coeffs[j] f(points[i] + shifts[j]), for every point i.
+
+    f is evaluated once per block of points, on all of the block's
+    shifted copies at once; the block size follows from _CHUNK_BYTES,
+    counted on the array of shifted points.
+    """
+    S, n = shifts.shape
+    step = max(1, _CHUNK_BYTES // (16 * n * S))
+    out = np.empty(points.shape[0], dtype=complex)
+    for start in range(0, points.shape[0], step):
+        block = points[start : start + step]
+        vals = np.asarray(f((block[:, None, :] + shifts[None, :, :]).reshape(-1, n)))
+        out[start : start + step] = vals.reshape(block.shape[0], S) @ coeffs
+    return out
+
+
 def alpha_op(A: FockOperator, z) -> FockOperator:
     """Conjugation by Weyl operators: alpha_z(A) = W_z A W_{-z} = W_z A W_z^*."""
     W = weyl(A.params, z).matrix
@@ -163,7 +180,7 @@ def berezin_values(A: FockOperator, points: np.ndarray) -> np.ndarray:
     E = basis_matrix(params, points)
     weights = np.exp(-np.sum(np.abs(points) ** 2, axis=1) / (2.0 * params.t))
     C = np.conj(E) * weights  # C[:, i] = coefficients of k_{z_i}
-    raw = np.einsum("ji,jk,ki->i", np.conj(C), A.matrix, C, optimize=True)
+    raw = np.sum(np.conj(C) * (A.matrix @ C), axis=0)
     norms = np.sum(np.abs(C) ** 2, axis=0)
     return raw / norms
 
@@ -190,42 +207,28 @@ def berezin(A: FockOperator, window: float | None = None, m: int = 61) -> GridSy
     return GridSymbol.sample(BerezinSymbol(A), window, m, n=A.params.n)
 
 
-@dataclass
-class HeatTransformResult:
-    """Gaussian smoothing of a symbol: the heat/Berezin transform at weight t."""
-
-    symbol: GridSymbol
-    t: float
-    source: Symbol
-
-
-def heat_values(f, t: float, points: np.ndarray, n: int = 1, Q: int = 40) -> np.ndarray:
+def heat_values(f, t: float, points: np.ndarray, Q: int = 40) -> np.ndarray:
     """Heat transform values (pi t)^{-n} integral f(w) exp(-|z-w|^2/t) dV(w).
 
-    Substituting w = z + u turns this into an average of f(z + u)
-    against mu_t(u), evaluated by Gauss-Hermite quadrature.
+    points has shape (P, n), and n is read from it.  Substituting
+    w = z + u turns the integral into an average of f(z + u) against
+    mu_t(u), evaluated by Gauss-Hermite quadrature of order Q per real
+    axis (Q^{2n} nodes).
     """
-    from .quadrature import gaussian_grid
-
-    points = np.atleast_2d(np.asarray(points, dtype=complex))
-    grid = gaussian_grid(n, t, Q)
-    out = np.empty(points.shape[0], dtype=complex)
-    for i, z in enumerate(points):
-        vals = np.asarray(f(grid.nodes + z[None, :]))
-        out[i] = np.sum(grid.weights * vals)
-    return out
+    points = np.asarray(points, dtype=complex)
+    if points.ndim != 2:
+        # a flat array of P points would read as one point in C^P
+        raise ValueError(f"points must have shape (P, n), got {points.shape}")
+    grid = gaussian_grid(points.shape[1], t, Q)
+    return _shifted_sums(f, points, grid.nodes, grid.weights)
 
 
 def heat_transform(
     f: Symbol, t: float, window: float = 6.0, m: int = 61, Q: int = 40
-) -> HeatTransformResult:
-    """Heat transform of a symbol, returned on a sampling grid.
+) -> GridSymbol:
+    """Heat transform of a symbol, sampled on an m-per-axis grid over the window.
 
     Satisfies berezin(toeplitz(f)) == heat_transform(f, t) within
-    quadrature and truncation tolerance.
+    quadrature, interpolation and truncation tolerance.
     """
-    n = f.n
-    sym = GridSymbol.sample(
-        CallableSymbol(lambda pts: heat_values(f, t, pts, n=n, Q=Q), n=n), window, m, n=n
-    )
-    return HeatTransformResult(symbol=sym, t=t, source=f)
+    return GridSymbol.sample(lambda pts: heat_values(f, t, pts, Q=Q), window, m, n=f.n)

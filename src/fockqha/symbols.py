@@ -270,14 +270,3 @@ class GridSymbol(Symbol):
                 for j, y in enumerate(self.axes[1]):
                     v = self.values[i, j]
                     writer.writerow([repr(x), repr(y), repr(v.real), repr(v.imag)])
-
-
-class CallableSymbol(Symbol):
-    """Wrap an arbitrary vectorized callable as a Symbol."""
-
-    def __init__(self, func, n: int = 1):
-        self.func = func
-        self.n = n
-
-    def eval(self, points):
-        return np.asarray(self.func(points))

@@ -31,7 +31,14 @@ from fockqha.model import (
     pc_operator,
     rank_one,
 )
-from fockqha.operators import BerezinSymbol, alpha_op, berezin_values, toeplitz, weyl
+from fockqha.operators import (
+    _CHUNK_BYTES,
+    BerezinSymbol,
+    alpha_op,
+    berezin_values,
+    toeplitz,
+    weyl,
+)
 from fockqha.symbols import Constant, Gaussian, PlaneWave, Translate, heat_gaussian
 
 P = FockParams(1, 1.0, 16, 20)
@@ -146,6 +153,22 @@ def test_fun_fun_gaussian_semigroup():
     got = conv_fun_fun(fs, fu, CFG).eval(pts)
     want = heat_gaussian(1.2)(pts)
     assert np.max(np.abs(got - want)) < 1e-6
+
+
+def test_fun_fun_matches_per_point_sum():
+    # more points than one block of shifted points holds, and n = 2
+    for n, cfg, count in [(1, ConvolutionConfig(4.0, 40), 200), (2, ConvolutionConfig(3.0, 8), 40)]:
+        grid = cfg.grid(n)
+        assert count > _CHUNK_BYTES // (16 * n * grid.size)
+        f = Gaussian(center=np.full(n, 0.3 - 0.1j), width=1.5, n=n)
+        g = PlaneWave(zeta=np.full(n, 0.7 + 0.2j), n=n) * Gaussian(
+            center=np.zeros(n, dtype=complex), width=2.0, n=n
+        )
+        rng = np.random.default_rng(n)
+        pts = rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
+        want = [np.sum(grid.weights * f(grid.nodes) * g(z[None, :] - grid.nodes)) for z in pts]
+        got = conv_fun_fun(f, g, cfg, n=n).eval(pts)
+        assert np.max(np.abs(got - want)) < 1e-14
 
 
 def test_fun_fun_commutes():

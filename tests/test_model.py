@@ -12,7 +12,6 @@ from fockqha.model import (
     FockVector,
     basis_matrix,
     basis_vector,
-    eval_basis,
     identity_operator,
     kernel_coefficients,
     multi_indices,
@@ -26,6 +25,16 @@ from fockqha.model import (
 from fockqha.operators import weyl
 
 P1 = FockParams(1, 1.0, 12, 16)
+
+
+def eval_basis(params: FockParams, alpha, z) -> complex:
+    """e_alpha(z) = sqrt(1 / (alpha! t^{|alpha|})) z^alpha for a single point."""
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    norm = math.exp(
+        -0.5 * (sum(math.lgamma(a + 1) for a in alpha) + sum(alpha) * math.log(params.t))
+    )
+    mono = complex(np.prod([z[a] ** alpha[a] for a in range(params.n)]))
+    return norm * mono
 
 
 def test_params_validation():
@@ -181,11 +190,18 @@ def test_vector_and_operator_validation():
 
 
 def test_basis_matrix_consistency():
-    pts = np.array([[0.3 - 0.4j], [1.0 + 0.0j]])
-    E = basis_matrix(P1, pts)
-    for j, alpha in enumerate(multi_indices(P1)):
-        for i in range(2):
-            assert E[j, i] == pytest.approx(eval_basis(P1, alpha, pts[i, 0]))
+    # n = 2 and n = 3 check the per-axis gather of the power tables
+    cases = [
+        (P1, [[0.3 - 0.4j], [1.0 + 0.0j]]),
+        (FockParams(2, 0.7, 6, 8), [[0.3 - 0.4j, 1.1j], [1.0, -0.2 + 0.5j], [0.0, 0.9]]),
+        (FockParams(3, 1.3, 5, 7), [[0.3 - 0.4j, 1.1j, -0.6], [1.0, 0.0, 0.4 + 0.8j]]),
+    ]
+    for params, pts in cases:
+        pts = np.array(pts, dtype=complex)
+        E = basis_matrix(params, pts)
+        for j, alpha in enumerate(multi_indices(params)):
+            for i in range(pts.shape[0]):
+                assert E[j, i] == pytest.approx(eval_basis(params, alpha, pts[i]), rel=1e-14)
 
 
 def test_cached_grid_basis_is_read_only():

@@ -8,8 +8,9 @@ import numpy as np
 
 import fockqha.model as M
 from fockqha.cli import main
-from fockqha.model import FockParams, identity_operator, kernel_coefficients
+from fockqha.model import FockParams, identity_operator, kernel_coefficients, rank_one
 from fockqha.operators import berezin_values, toeplitz, weyl
+from fockqha.serialize import load_operator
 from fockqha.symbols import Constant, Gaussian
 
 P2 = FockParams(2, 1.0, 4, 6)
@@ -67,3 +68,21 @@ def test_verify_runs_n2(tmp_path):
         "two-pipeline-toeplitz",
     ]
     assert report["passed"] is (status == 0)
+
+
+def _export(tmp_path, target):
+    argv = ["--n", "2", "--D", "4", "--Q", "6", "--outdir", str(tmp_path), "export-operator", target]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    return load_operator(tmp_path / "operator.json")
+
+
+def test_export_targets_n2(tmp_path):
+    # weyl:<z> and rank-one:<z> repeat z on every axis
+    p = FockParams(2, 1.0, 4, 6)
+    W = _export(tmp_path, "weyl:0.5")
+    assert W.params == p
+    assert np.array_equal(W.matrix, weyl(p, [0.5, 0.5]).matrix)
+    R = _export(tmp_path, "rank-one:0.1")
+    k = kernel_coefficients(p, [0.1, 0.1])
+    assert np.array_equal(R.matrix, rank_one(k, k).matrix)

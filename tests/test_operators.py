@@ -20,6 +20,7 @@ from fockqha.model import (
     rank_one,
 )
 from fockqha.operators import (
+    _CHUNK_BYTES,
     BerezinSymbol,
     alpha_op,
     berezin,
@@ -30,7 +31,8 @@ from fockqha.operators import (
     weyl,
     weyl_matrices,
 )
-from fockqha.symbols import Constant, Gaussian, Polynomial, Radial, heat_gaussian
+from fockqha.quadrature import gaussian_grid
+from fockqha.symbols import Constant, Gaussian, GridSymbol, Polynomial, Radial, heat_gaussian
 
 P = FockParams(1, 1.0, 16, 20)
 
@@ -256,6 +258,33 @@ def test_heat_transform_gaussian_closed_form():
     assert np.max(np.abs(got - want)) < 1e-12
 
 
+def test_heat_transform_gaussian_closed_form_n2():
+    # the dimension of the integral comes from the points
+    s, t = 0.8, 0.6
+    pts = np.array([[0.3, 0.2j], [0.0, 0.0], [-0.5 + 0.1j, 0.4]])
+    got = heat_values(heat_gaussian(s, n=2), t, pts, Q=28)
+    want = (np.pi * (s + t)) ** (-2) * np.exp(-np.sum(np.abs(pts) ** 2, axis=1) / (s + t))
+    assert np.max(np.abs(got - want)) < 1e-14
+
+
+def test_heat_values_rejects_flat_points():
+    with pytest.raises(ValueError, match="shape"):
+        heat_values(Constant(1.0), 1.0, np.array([0.0, 0.5, 1.0j]))
+
+
+def test_heat_values_matches_per_point_sum():
+    # more points than one block of shifted points holds
+    t, Q = 0.7, 40
+    grid = gaussian_grid(1, t, Q)
+    assert _CHUNK_BYTES // (16 * grid.size) < 100
+    f = Gaussian(center=0.2 - 0.3j, width=1.5) + Polynomial(terms=[((1,), (1,), 0.1)])
+    rng = np.random.default_rng(4)
+    pts = (rng.standard_normal(100) + 1j * rng.standard_normal(100))[:, None]
+    want = [np.sum(grid.weights * f(grid.nodes + z[None, :])) for z in pts]
+    got = heat_values(f, t, pts, Q=Q)
+    assert np.max(np.abs(got - want)) < 1e-14
+
+
 def test_heat_transform_fixes_linear_functions():
     f = Polynomial(terms=[((1,), (0,), 1.0), ((0,), (1,), 1.0)])  # w + conj w
     pts = np.array([0.3, -0.7 + 0.2j])[:, None]
@@ -267,7 +296,8 @@ def test_heat_transform_semigroup():
     f = Gaussian(center=0.0, width=2.0)
     pts = np.array([0.0, 0.5])[:, None]
     once = heat_transform(f, 0.5, window=8.0, m=201)
-    twice = heat_values(once.symbol, 0.5, pts)
+    assert isinstance(once, GridSymbol)
+    twice = heat_values(once, 0.5, pts)
     direct = heat_values(f, 1.0, pts)
     # tolerance dominated by the linear grid interpolation of the symbol
     assert np.max(np.abs(twice - direct)) < 1e-3
