@@ -14,15 +14,13 @@ Two steps realize the constructive scheme:
 
 from __future__ import annotations
 
-import csv
-import json
-import time
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 
+from ._output import params_dict, write_csv, write_json
 from .convolution import ConvolutionConfig, conv_fun_op, l1_window_norm
 from .model import FockOperator, FockParams, degree_projector, operator_norm_2
 from .operators import BerezinSymbol, toeplitz
@@ -226,7 +224,6 @@ def stage_convolution_config(params: FockParams, N: int) -> ConvolutionConfig:
 class ApproximationStage:
     N: int
     fit: HeatKernelFit
-    build_seconds: float
     op_error: float
     baseline_error: float  # ||A - f_{t/N} * A||_op
 
@@ -262,35 +259,21 @@ class ApproximationReport:
     def as_dict(self) -> dict:
         return {
             "target": self.target,
-            "params": {
-                "n": self.params.n,
-                "t": self.params.t,
-                "D": self.params.D,
-                "Q": self.params.Q,
-            },
+            "params": params_dict(self.params),
             "norm_target": self.norm_target,
             "young_constant": self.young_constant,
             "stages": [s.as_dict() for s in self.stages],
         }
 
     def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.as_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.as_dict())
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["N", "l1_residual", "op_error", "baseline_error"])
-            for st in self.stages:
-                writer.writerow(
-                    [
-                        st.N,
-                        repr(st.fit.l1_residual),
-                        repr(st.op_error),
-                        repr(st.baseline_error),
-                    ]
-                )
+        rows = (
+            (st.N, st.fit.l1_residual, st.op_error, st.baseline_error)
+            for st in self.stages
+        )
+        write_csv(path, ["N", "l1_residual", "op_error", "baseline_error"], rows)
 
 
 def toeplitz_approximation(
@@ -317,7 +300,6 @@ def toeplitz_approximation(
         young_constant=young_constant,
     )
     for N in stages:
-        t0 = time.perf_counter()
         # the plain least-squares solution tracks the low-frequency content of
         # f_{t/N} best, which is what the operator error responds to
         fit = fit_heat_kernel(
@@ -338,7 +320,6 @@ def toeplitz_approximation(
             ApproximationStage(
                 N=N,
                 fit=fit,
-                build_seconds=time.perf_counter() - t0,
                 op_error=op_error,
                 baseline_error=baseline,
             )

@@ -5,18 +5,19 @@ section names (model.D=24, conv.m=64, ...) which individual flags
 override; ``--print-config`` dumps the fully resolved form.  Exit codes:
 0 success, 1 tolerance failure, 2 usage or configuration error.
 
-Determinism: the seed fixes every randomized choice, and BLAS thread
-pools are pinned to a single thread before numpy is imported so that
-``--threads`` (a cap on worker count) never changes any output byte.
+Determinism: the seed fixes every randomized choice, and the BLAS
+thread-count variables default to 1.  ``--threads`` is accepted and
+ignored, so it never changes any output byte.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
+
+from ._output import write_json
 
 # pin the linear-algebra thread pools before numpy comes in anywhere;
 # threaded reductions are not bit-reproducible across pool sizes
@@ -129,14 +130,6 @@ def _outpath(cfg, name) -> Path:
     outdir = Path(cfg["run.outdir"])
     outdir.mkdir(parents=True, exist_ok=True)
     return outdir / name
-
-
-def _write_json(path, payload, cfg):
-    doc = {"schema": "1", "config": {k: v for k, v in sorted(cfg.items())}}
-    doc.update(payload)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def parse_target(spec: str, params):
@@ -271,15 +264,14 @@ def cmd_verify(cfg) -> int:
     if window_unstable(heat_gaussian(params.t, params.n), conv_cfg, params.n):
         flags.append("window-instability: L1 mass moved when the window doubled")
 
-    path = _outpath(cfg, "verify_report.json")
-    _write_json(
-        path,
+    write_json(
+        _outpath(cfg, "verify_report.json"),
         {
+            "config": cfg,
             "records": [r.as_dict() for r in records],
             "flags": flags,
             "passed": bool(ok),
         },
-        cfg,
     )
     for r in records:
         status = "pass" if r.residual <= r.cfg["tolerance"] else "FAIL"
@@ -300,7 +292,7 @@ def cmd_approx(cfg, target_spec: str) -> int:
     A = parse_target(target_spec, params)
     report = toeplitz_approximation(A, [1, 2, 4, 8], target=target_spec)
     report.to_csv(_outpath(cfg, "approx_report.csv"))
-    _write_json(_outpath(cfg, "approx_report.json"), {"report": report.as_dict()}, cfg)
+    write_json(_outpath(cfg, "approx_report.json"), {"config": cfg, "report": report.as_dict()})
     for st in report.stages:
         print(f"N={st.N}  l1={st.fit.l1_residual:.4e}  op_error={st.op_error:.4e}")
     return 0
@@ -357,10 +349,14 @@ def cmd_sweep(cfg, kind: str, symbol: str) -> int:
     else:
         raise ConfigError(f"unknown sweep kind {kind!r}")
 
-    _write_json(
+    write_json(
         _outpath(cfg, f"sweep_{kind}.json"),
-        {"kind": kind, "metadata": meta, "records": [r.as_dict() for r in records]},
-        cfg,
+        {
+            "config": cfg,
+            "kind": kind,
+            "metadata": meta,
+            "records": [r.as_dict() for r in records],
+        },
     )
     for r in records:
         print(f"{r.parameter:.6g}\t{r.quantity:.6e}")
@@ -373,7 +369,7 @@ def cmd_export_operator(cfg, target_spec: str) -> int:
     params = _build_model(cfg)
     A = parse_target(target_spec, params)
     path = _outpath(cfg, "operator.json")
-    save_operator(A, path, extra={"target": target_spec, "config": dict(sorted(cfg.items()))})
+    save_operator(A, path, extra={"target": target_spec, "config": cfg})
     print(f"wrote {path}")
     return 0
 
@@ -382,14 +378,14 @@ def cmd_export_berezin(cfg, target_spec: str, m: int) -> int:
     from .operators import berezin
 
     params = _build_model(cfg)
+    if params.n != 1:
+        raise ConfigError("export-berezin writes n = 1 grids only")
     A = parse_target(target_spec, params)
-    sym = berezin(A, m=m)
     path = _outpath(cfg, "berezin.csv")
-    sym.to_csv(path)
-    _write_json(
+    berezin(A, m=m).to_csv(path)
+    write_json(
         _outpath(cfg, "berezin.json"),
-        {"target": target_spec, "window": float(params.trusted_radius), "m": m},
-        cfg,
+        {"config": cfg, "target": target_spec, "window": float(params.trusted_radius), "m": m},
     )
     print(f"wrote {path}")
     return 0
@@ -413,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--m", type=int, help="convolution grid points per axis")
     parser.add_argument("--seed", type=int, help="seed for all randomized choices")
     parser.add_argument("--outdir", help="output directory")
-    parser.add_argument("--threads", type=int, default=1, help="worker-count cap (results are thread-count independent)")
+    parser.add_argument("--threads", type=int, default=1, help="accepted and ignored")
 
     sub = parser.add_subparsers(dest="command")
     sub.add_parser("verify", help="run all identity suites")

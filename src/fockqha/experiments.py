@@ -11,18 +11,16 @@ Three families of desk-scale experiments:
   sub-block for symbols invariant under a subgroup of translations,
   with a radial negative control.
 
-Each runner returns plain records and can emit a CSV plus a JSON
-metadata sidecar.
+Each runner returns plain records; `write_sweep_csv` writes them as CSV.
 """
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._output import params_dict, write_csv
 from .approximation import ApproximationReport, toeplitz_approximation
 from .model import (
     FockOperator,
@@ -33,8 +31,6 @@ from .model import (
 )
 from .operators import berezin_values, heat_values, toeplitz, weyl, alpha_op
 from .symbols import Symbol, SymbolProduct
-
-SCHEMA_VERSION = "1"
 
 
 @dataclass
@@ -57,26 +53,9 @@ class SweepRecord:
         }
 
 
-def _params_dict(params: FockParams) -> dict:
-    return {"n": params.n, "t": params.t, "D": params.D, "Q": params.Q}
-
-
 def write_sweep_csv(records: list, path, columns=("parameter", "quantity")) -> None:
     """Two-column CSV of a sweep; values serialized with repr for exactness."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for r in records:
-            writer.writerow([repr(float(r.parameter)), repr(float(r.quantity))])
-
-
-def write_sidecar(path, payload: dict) -> None:
-    """JSON metadata sidecar with the shared schema version."""
-    doc = {"schema": SCHEMA_VERSION}
-    doc.update(payload)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_csv(path, columns, ((float(r.parameter), float(r.quantity)) for r in records))
 
 
 def _trusted_points(params: FockParams, m: int = 21) -> np.ndarray:
@@ -112,7 +91,7 @@ def quantization_sweep(
         pts = _trusted_points(params, m)
         smoothed = heat_values(fg, params.t, pts, Q=params.Q)
         sup_err = float(np.max(np.abs(fg(pts) - smoothed)))
-        meta = {"params": _params_dict(params)}
+        meta = {"params": params_dict(params)}
         op_records.append(SweepRecord(float(t), op_err, meta))
         sup_records.append(SweepRecord(float(t), sup_err, meta))
     return op_records, sup_records

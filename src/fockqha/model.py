@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -169,7 +169,6 @@ class FockOperator:
 
     params: FockParams
     matrix: np.ndarray
-    flags: tuple = field(default_factory=tuple, compare=False)
 
     def __post_init__(self):
         m = np.ascontiguousarray(self.matrix, dtype=complex)

@@ -16,11 +16,12 @@ weighted sum, so results are reproducible bit-for-bit.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 import numpy as np
+
+from ._output import write_csv
 
 
 @dataclass(frozen=True)
@@ -52,17 +53,12 @@ class GaussGrid:
     def to_csv(self, path) -> None:
         """Dump nodes and weights for audit (one row per node)."""
         n = self.nodes.shape[1]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            header = []
-            for a in range(n):
-                header += [f"re_z{a}", f"im_z{a}"]
-            writer.writerow(header + ["weight"])
-            for i in range(self.size):
-                row = []
-                for a in range(n):
-                    row += [repr(self.nodes[i, a].real), repr(self.nodes[i, a].imag)]
-                writer.writerow(row + [repr(self.weights[i])])
+        header = [f"{part}_z{a}" for a in range(n) for part in ("re", "im")]
+        cols = np.empty((self.size, 2 * n + 1))
+        cols[:, 0 : 2 * n : 2] = self.nodes.real
+        cols[:, 1 : 2 * n : 2] = self.nodes.imag
+        cols[:, -1] = self.weights
+        write_csv(path, header + ["weight"], cols.tolist())
 
 
 def _tensorize(nodes_1d: np.ndarray, weights_1d: np.ndarray, n: int):

@@ -8,23 +8,20 @@ Vectors and singular-value lists export to CSV.
 
 from __future__ import annotations
 
-import csv
 import json
 
 import numpy as np
 
+from ._output import check_schema, params_dict, stamped, write_csv, write_json
 from .model import FockOperator, FockParams, FockVector, multi_indices, singular_values
-
-SCHEMA_VERSION = "1"
 
 
 def operator_to_dict(A: FockOperator, extra: dict | None = None) -> dict:
     """JSON-ready dictionary for an operator, schema version included."""
     p = A.params
     doc = {
-        "schema": SCHEMA_VERSION,
         "kind": "fock-operator",
-        "params": {"n": p.n, "t": p.t, "D": p.D, "Q": p.Q},
+        "params": params_dict(p),
         "basis": [list(alpha) for alpha in multi_indices(p)],
         "entries": [
             [[v.real, v.imag] for v in row] for row in A.matrix
@@ -32,21 +29,20 @@ def operator_to_dict(A: FockOperator, extra: dict | None = None) -> dict:
     }
     if extra:
         doc["meta"] = extra
-    return doc
+    return stamped(doc)
 
 
 def save_operator(A: FockOperator, path, extra: dict | None = None) -> None:
-    with open(path, "w") as fh:
-        json.dump(operator_to_dict(A, extra), fh, sort_keys=True)
-        fh.write("\n")
+    write_json(path, operator_to_dict(A, extra), indent=None)
 
 
 def load_operator(path) -> FockOperator:
-    """Reload an operator document, validating shape and basis order."""
+    """Reload an operator document, validating schema, shape and basis order."""
     with open(path) as fh:
         doc = json.load(fh)
     if doc.get("kind") != "fock-operator":
         raise ValueError("not an operator document")
+    check_schema(doc)
     p = doc["params"]
     params = FockParams(int(p["n"]), float(p["t"]), int(p["D"]), int(p["Q"]))
     basis = tuple(tuple(a) for a in doc["basis"])
@@ -60,17 +56,12 @@ def load_operator(path) -> FockOperator:
 
 def vector_to_csv(v: FockVector, path) -> None:
     """CSV rows (multi-index, re, im) in basis order."""
-    idx = multi_indices(v.params)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["alpha", "re", "im"])
-        for alpha, c in zip(idx, v.coeffs):
-            writer.writerow([" ".join(map(str, alpha)), repr(c.real), repr(c.imag)])
+    rows = (
+        (" ".join(map(str, alpha)), c.real, c.imag)
+        for alpha, c in zip(multi_indices(v.params), v.coeffs.tolist())
+    )
+    write_csv(path, ["alpha", "re", "im"], rows)
 
 
 def singular_values_to_csv(A: FockOperator, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "sigma"])
-        for i, s in enumerate(singular_values(A)):
-            writer.writerow([i, repr(float(s))])
+    write_csv(path, ["index", "sigma"], enumerate(singular_values(A).tolist()))

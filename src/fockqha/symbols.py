@@ -9,12 +9,13 @@ interpolation.  Evaluation is deterministic everywhere.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
+
+from ._output import write_csv
 
 
 def as_points(z, n: int) -> np.ndarray:
@@ -263,10 +264,7 @@ class GridSymbol(Symbol):
         """Serialize as (Re z, Im z, Re value, Im value) rows (n = 1)."""
         if self.n != 1:
             raise ValueError("CSV export of grid symbols is defined for n = 1")
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["re_z", "im_z", "re_value", "im_value"])
-            for i, x in enumerate(self.axes[0]):
-                for j, y in enumerate(self.axes[1]):
-                    v = self.values[i, j]
-                    writer.writerow([repr(x), repr(y), repr(v.real), repr(v.imag)])
+        X, Y = np.meshgrid(self.axes[0], self.axes[1], indexing="ij")
+        cols = np.stack([X, Y, self.values.real, self.values.imag], axis=-1)
+        rows = cols.reshape(-1, 4).tolist()
+        write_csv(path, ["re_z", "im_z", "re_value", "im_value"], rows)

@@ -1,6 +1,8 @@
 """CLI behavior: config resolution, exit codes, output files, determinism."""
 
+import csv
 import json
+import warnings
 
 import pytest
 
@@ -112,3 +114,51 @@ def test_outputs_are_deterministic(tmp_path, capsys):
     # the thread cap is not part of the resolved config and must not
     # change a single output byte
     assert a == b
+
+
+# the files each command writes; README lists the same table
+WRITTEN = {
+    ("verify",): {"verify_report.json"},
+    ("approx", "weyl:0.5"): {"approx_report.csv", "approx_report.json"},
+    ("sweep", "quantization"): {
+        "sweep_quantization_op.csv",
+        "sweep_quantization_sup.csv",
+        "sweep_quantization.json",
+    },
+    ("sweep", "approx-identity"): {"sweep_approx_identity.csv", "sweep_approx-identity.json"},
+    ("sweep", "compactness"): {"sweep_compactness.csv", "sweep_compactness.json"},
+    ("sweep", "invariance"): {"sweep_invariance.csv", "sweep_invariance.json"},
+    ("export-operator", "weyl:0.2"): {"operator.json"},
+    ("export-berezin", "rank-one:0", "--grid-m", "5"): {"berezin.csv", "berezin.json"},
+}
+
+
+def _cell_is_exact(cell):
+    try:
+        return str(int(cell)) == cell
+    except ValueError:
+        pass
+    try:
+        return repr(float(cell)) == cell
+    except ValueError:
+        return False
+
+
+def test_every_output_follows_the_writer_contract(tmp_path, capsys):
+    for command, expected in WRITTEN.items():
+        outdir = tmp_path / "-".join(command[:2])
+        argv = ["--D", "6", "--Q", "8", "--m", "16", "--outdir", str(outdir), *command]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = run_cli(argv)
+        # verify may fail its tolerances at this size; it still writes its report
+        assert code in ((0, 1) if command == ("verify",) else (0,)), command
+        assert {p.name for p in outdir.iterdir()} == expected, command
+        for path in outdir.glob("*.json"):
+            assert json.loads(path.read_text())["schema"] == "1", path.name
+        for path in outdir.glob("*.csv"):
+            with open(path, newline="") as fh:
+                rows = list(csv.reader(fh))[1:]
+            assert rows, path.name
+            bad = [c for row in rows for c in row if not _cell_is_exact(c)]
+            assert not bad, (path.name, bad[:3])

@@ -11,9 +11,9 @@ from fockqha.experiments import (
     compactness_diagnostic,
     invariance_check,
     quantization_sweep,
-    write_sidecar,
     write_sweep_csv,
 )
+from fockqha._output import write_json
 from fockqha.model import (
     FockParams,
     identity_operator,
@@ -117,6 +117,6 @@ def test_csv_and_sidecar_output(tmp_path):
     lines = cpath.read_text().strip().splitlines()
     assert lines[0] == "s,err" and len(lines) == 3
     jpath = tmp_path / "sweep.json"
-    write_sidecar(jpath, {"records": [r.as_dict() for r in recs]})
+    write_json(jpath, {"records": [r.as_dict() for r in recs]})
     doc = json.loads(jpath.read_text())
     assert doc["schema"] == "1" and len(doc["records"]) == 2

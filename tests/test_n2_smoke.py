@@ -86,3 +86,19 @@ def test_export_targets_n2(tmp_path):
     R = _export(tmp_path, "rank-one:0.1")
     k = kernel_coefficients(p, [0.1, 0.1])
     assert np.array_equal(R.matrix, rank_one(k, k).matrix)
+
+
+def test_export_berezin_n2_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    # the CSV grid is defined for n = 1, so the command must refuse before
+    # it spends time on the Berezin grid
+    import fockqha.operators
+
+    def never(*args, **kwargs):
+        raise AssertionError("the Berezin grid was computed")
+
+    monkeypatch.setattr(fockqha.operators, "berezin", never)
+    argv = ["--n", "2", "--D", "4", "--Q", "6", "--outdir", str(tmp_path),
+            "export-berezin", "rank-one:0", "--grid-m", "5"]
+    assert main(argv) == 2
+    assert "n = 1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

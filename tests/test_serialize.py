@@ -67,3 +67,16 @@ def test_singular_values_csv(tmp_path):
     assert len(lines) == P.dim + 1
     sv = [float(line.split(",")[1]) for line in lines[1:]]
     assert np.allclose(sv, singular_values(A))
+
+
+@pytest.mark.parametrize("schema", ["99", None])
+def test_load_rejects_other_schema(tmp_path, schema):
+    doc = operator_to_dict(weyl(P, 0.1))
+    if schema is None:
+        del doc["schema"]
+    else:
+        doc["schema"] = schema
+    path = tmp_path / "other.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="schema"):
+        load_operator(path)
