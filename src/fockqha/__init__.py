@@ -5,12 +5,20 @@ Weyl and Toeplitz operators, Berezin and heat transforms, quantum
 harmonic-analysis convolutions between functions and operators, and the
 constructive approximation of Toeplitz-algebra elements by Toeplitz
 operators with translated-Berezin symbols.
+
+Importing the package defaults the BLAS thread-count variables to 1
+before numpy loads: threaded reductions are not bit-reproducible across
+pool sizes.  Variables already set are left as they are.
 """
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 from .approximation import (
     ApproximationReport,
     HeatKernelFit,
-    NodeLayout,
     approximate_identity_sweep,
     build_symbol_from_berezin,
     fit_heat_kernel,

@@ -5,9 +5,10 @@ section names (model.D=24, conv.m=64, ...) which individual flags
 override; ``--print-config`` dumps the fully resolved form.  Exit codes:
 0 success, 1 tolerance failure, 2 usage or configuration error.
 
-Determinism: the seed fixes every randomized choice, and the BLAS
-thread-count variables default to 1.  ``--threads`` is accepted and
-ignored, so it never changes any output byte.
+Determinism: the seed fixes every randomized choice, and importing
+``fockqha`` defaults the BLAS thread-count variables to 1 before numpy
+loads.  ``--threads`` is accepted and ignored, so it never changes any
+output byte.
 """
 
 from __future__ import annotations
@@ -18,16 +19,6 @@ import sys
 from pathlib import Path
 
 from ._output import write_json
-
-# pin the linear-algebra thread pools before numpy comes in anywhere;
-# threaded reductions are not bit-reproducible across pool sizes
-for _var in (
-    "OPENBLAS_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "OMP_NUM_THREADS",
-    "NUMEXPR_NUM_THREADS",
-):
-    os.environ.setdefault(_var, "1")
 
 DEFAULTS = {
     "model.n": 1,
@@ -289,6 +280,8 @@ def cmd_approx(cfg, target_spec: str) -> int:
     from .approximation import toeplitz_approximation
 
     params = _build_model(cfg)
+    if params.n != 1:
+        raise ConfigError("approx fits heat kernels for n = 1 only")
     A = parse_target(target_spec, params)
     report = toeplitz_approximation(A, [1, 2, 4, 8], target=target_spec)
     report.to_csv(_outpath(cfg, "approx_report.csv"))

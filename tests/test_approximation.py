@@ -4,16 +4,11 @@ import numpy as np
 import pytest
 
 from fockqha.approximation import (
-    NodeLayout,
     approximate_identity_sweep,
     build_symbol_from_berezin,
-    default_layout,
     fit_heat_kernel,
-    measured_young_constant,
-    refined_layout,
     toeplitz_approximation,
 )
-from fockqha.convolution import default_config
 from fockqha.model import (
     FockParams,
     identity_operator,
@@ -28,13 +23,15 @@ P = FockParams(1, 1.0, 16, 20)
 
 
 def test_node_layout_lattice():
-    layout = NodeLayout(pitch=1.0, radius=2.0)
-    pts = layout.points(1)
+    fit = fit_heat_kernel(P, 2)
+    pts = fit.nodes
+    radius = 3.0 * np.sqrt(P.t) + np.sqrt(P.t / 2)
     assert pts.shape[1] == 1
-    assert np.all(np.abs(pts[:, 0]) <= 2.0 + 1e-12)
+    assert np.all(np.abs(pts[:, 0]) <= radius + 1e-12)
     assert any(abs(z) < 1e-15 for z in pts[:, 0])  # origin included
+    assert abs(np.sum(fit.coefficients) - 1.0) < 1e-12
     with pytest.raises(NotImplementedError):
-        layout.points(2)
+        fit_heat_kernel(FockParams(2, 1.0, 4, 6), 2)
 
 
 def test_stage_one_fit_is_exact():
@@ -45,16 +42,8 @@ def test_stage_one_fit_is_exact():
 
 
 def test_stage_four_meets_quarter_target():
-    fit = fit_heat_kernel(P, 4, node_layout=default_layout(P, 4))
+    fit = fit_heat_kernel(P, 4)
     assert fit.l1_residual <= 0.25
-
-
-def test_refining_lattice_does_not_hurt():
-    coarse = NodeLayout(pitch=1.0, radius=2.5)
-    fine = NodeLayout(pitch=0.5, radius=2.5)
-    r_coarse = fit_heat_kernel(P, 2, node_layout=coarse, refine_l1=False).l1_residual
-    r_fine = fit_heat_kernel(P, 2, node_layout=fine, refine_l1=False).l1_residual
-    assert r_fine <= r_coarse + 1e-10
 
 
 def test_invalid_stage():
@@ -78,26 +67,28 @@ def test_symbol_from_pc_single_node():
 
 
 def test_symbol_magnitude_bounded_by_coefficients():
-    fit = fit_heat_kernel(P, 2, node_layout=default_layout(P, 2), refine_l1=False)
-    sym = build_symbol_from_berezin(weyl(P, 0.4), fit)
+    fit = fit_heat_kernel(P, 2)
+    with pytest.warns(UserWarning, match="trusted"):
+        sym = build_symbol_from_berezin(weyl(P, 0.4), fit)
     pts = np.linspace(-1.0, 1.0, 9)
     bound = np.sum(np.abs(fit.coefficients))
     assert np.max(np.abs(sym(pts))) <= bound + 1e-10
 
 
 def test_symbol_construction_linearity():
-    fit = fit_heat_kernel(P, 2, node_layout=default_layout(P, 2), refine_l1=False)
+    fit = fit_heat_kernel(P, 2)
     A = pc_operator(P)
     B = toeplitz(P, Gaussian(center=0.2, width=1.0))
     pts = np.array([0.0, 0.4 - 0.3j])
-    lhs = build_symbol_from_berezin(A + B, fit)(pts)
-    rhs = build_symbol_from_berezin(A, fit)(pts) + build_symbol_from_berezin(B, fit)(pts)
+    with pytest.warns(UserWarning, match="trusted"):
+        lhs = build_symbol_from_berezin(A + B, fit)(pts)
+        rhs = build_symbol_from_berezin(A, fit)(pts) + build_symbol_from_berezin(B, fit)(pts)
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
 def test_out_of_window_nodes_flagged():
-    wide = NodeLayout(pitch=1.0, radius=4.0)
-    fit = fit_heat_kernel(P, 2, node_layout=wide, refine_l1=False)
+    # the stage-2 lattice reaches radius 3.71, beyond the trusted radius 2 of P
+    fit = fit_heat_kernel(P, 2)
     with pytest.warns(UserWarning, match="trusted"):
         build_symbol_from_berezin(pc_operator(P), fit)
 
@@ -129,10 +120,6 @@ def test_approximate_identity_sweep_rank_one_decreasing():
     assert errs[2] < errs[1] < errs[0]
 
 
-def test_measured_young_constant_floor():
-    assert measured_young_constant(P, default_config(P, m=32)) >= 1.0
-
-
 def test_report_serialization(tmp_path):
     import warnings
 
@@ -149,9 +136,3 @@ def test_report_serialization(tmp_path):
     lines = cpath.read_text().strip().splitlines()
     assert lines[0] == "N,l1_residual,op_error,baseline_error"
     assert len(lines) == 3
-
-
-def test_refined_layout_shrinks_pitch():
-    a = default_layout(P, 4)
-    b = refined_layout(P, 4)
-    assert b.pitch < a.pitch

@@ -102,3 +102,18 @@ def test_export_berezin_n2_is_a_usage_error(tmp_path, monkeypatch, capsys):
     assert main(argv) == 2
     assert "n = 1" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_approx_n2_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    # the heat-kernel fit lattice is built for n = 1, so the command must
+    # refuse before any stage runs
+    import fockqha.approximation
+
+    def never(*args, **kwargs):
+        raise AssertionError("the approximation ran")
+
+    monkeypatch.setattr(fockqha.approximation, "toeplitz_approximation", never)
+    argv = ["--n", "2", "--D", "4", "--Q", "6", "--outdir", str(tmp_path), "approx", "weyl:0.5"]
+    assert main(argv) == 2
+    assert "n = 1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
