@@ -18,7 +18,6 @@ Two steps realize the constructive scheme:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +25,7 @@ import scipy.linalg
 
 from ._output import params_dict, write_csv, write_json
 from .convolution import ConvolutionConfig, conv_fun_op
-from .model import FockOperator, FockParams, degree_projector, operator_norm_2
+from .model import FockOperator, FockParams, _warn, operator_norm_2, trusted_norm
 from .operators import BerezinSymbol, toeplitz
 from .quadrature import lebesgue_grid
 from .symbols import Scale, Symbol, SymbolSum, Translate, heat_gaussian
@@ -104,7 +103,7 @@ def fit_heat_kernel(params: FockParams, N: int) -> HeatKernelFit:
         if lam > MAX_RIDGE:
             raise RuntimeError("heat-kernel fit normal equations remain ill-conditioned")
     if lam > RIDGE:
-        warnings.warn(f"heat-kernel fit ridge escalated to {lam:.1e}", stacklevel=2)
+        _warn(f"heat-kernel fit ridge escalated to {lam:.1e}")
 
     c = c / float(np.sum(c))
     resid = float(np.sum(grid.weights * np.abs(target - Phi @ c)))
@@ -121,10 +120,7 @@ def build_symbol_from_berezin(A: FockOperator, fit: HeatKernelFit) -> Symbol:
     radius = A.params.trusted_radius
     outside = [z for z in fit.nodes if np.sqrt(np.sum(np.abs(z) ** 2)) > radius]
     if outside:
-        warnings.warn(
-            f"{len(outside)} fit nodes lie outside the trusted Berezin window",
-            stacklevel=2,
-        )
+        _warn(f"{len(outside)} fit nodes lie outside the trusted Berezin window")
     parts = [
         Scale(Translate(base, z), c) for z, c in zip(fit.nodes, fit.coefficients)
     ]
@@ -194,10 +190,6 @@ def toeplitz_approximation(
     (membership in the trusted class is by construction, not verified).
     """
     params = A.params
-    # errors are measured on the trusted sub-block (degrees <= D/2): the top
-    # degrees of the truncated matrices carry O(1) truncation artifacts for
-    # non-compact targets such as Weyl operators
-    proj = degree_projector(params, params.D // 2)
     report = ApproximationReport(target=target, params=params, norm_target=operator_norm_2(A))
     stages = list(stages)
     # the baseline ||A - f_{t/N} * A|| is the approximate-identity error at s = t/N
@@ -206,7 +198,10 @@ def toeplitz_approximation(
         fit = fit_heat_kernel(params, N)
         symbol = build_symbol_from_berezin(A, fit)
         T = toeplitz(params, symbol)
-        op_error = operator_norm_2(proj @ (A - T) @ proj)
+        # measured on the trusted sub-block: the top degrees of the truncated
+        # matrices carry O(1) truncation artifacts for non-compact targets
+        # such as Weyl operators
+        op_error = trusted_norm(A - T)
         report.stages.append(
             ApproximationStage(N=N, fit=fit, op_error=op_error, baseline_error=baseline)
         )
@@ -217,16 +212,16 @@ def approximate_identity_sweep(A: FockOperator, s_list):
     """Errors ||f_s * A - A||_op for a decreasing list of widths s.
 
     For operators in the trusted (Toeplitz-built) class the errors
-    decrease as s -> 0.  The errors are spectral norms of the trusted sub-block (degrees <= D/2): conjugation
-    by truncated Weyl matrices is not exact at the top degrees.
+    decrease as s -> 0.  The errors are spectral norms of the trusted
+    sub-block (degrees <= D/2): conjugation by truncated Weyl matrices is
+    not exact at the top degrees.
     """
     params = A.params
-    proj = degree_projector(params, params.D // 2)
     out = []
     for s in s_list:
         # dV window adapted to the width of f_s: narrow kernels need a
         # tight, well-resolved window
         s_cfg = ConvolutionConfig(window=6.0 * np.sqrt(s), m=48)
         diff = conv_fun_op(heat_gaussian(s, params.n), A, s_cfg) - A
-        out.append((float(s), operator_norm_2(proj @ diff @ proj)))
+        out.append((float(s), trusted_norm(diff)))
     return out

@@ -1,9 +1,13 @@
 """Command-line driver: verify suites, approximation runs, sweeps, exports.
 
-Configuration comes from an optional flat key=value file with dotted
-section names (model.D=24, conv.m=64, ...) which individual flags
-override; ``--print-config`` dumps the fully resolved form.  Exit codes:
-0 success, 1 tolerance failure, 2 usage or configuration error.
+Every setting is one entry of ``SETTINGS``: its default, its type, and
+the flag and help text of the keys that have a flag.  A value comes from
+the default, then an optional flat key=value file with dotted section
+names (model.D=24, conv.m=64, ...), then the flag; the ``tol.*`` keys are
+set from a file only.  ``--print-config`` dumps the fully resolved form.
+Each subcommand binds its handler ``cmd_*(cfg, args)`` in
+``build_parser``.  Exit codes: 0 success, 1 tolerance failure, 2 usage or
+configuration error.
 
 Determinism: the seed fixes every randomized choice, and importing
 ``fockqha`` defaults the BLAS thread-count variables to 1 before numpy
@@ -18,31 +22,54 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from ._output import write_json
+from .approximation import approximate_identity_sweep, toeplitz_approximation
+from .convolution import (
+    ConvolutionConfig,
+    adjoint_duality_residuals,
+    toeplitz_via_convolution,
+    trace_identity_residual,
+    window_unstable,
+)
+from .experiments import (
+    SweepRecord,
+    compactness_diagnostic,
+    invariance_check,
+    quantization_sweep,
+    write_sweep_csv,
+)
+from .model import (
+    FockParams,
+    FockVector,
+    _grid_basis,
+    identity_operator,
+    kernel_coefficients,
+    rank_one,
+    trusted_norm,
+)
+from .operators import berezin, toeplitz, weyl
+from .quadrature import default_window
+from .serialize import save_operator
+from .symbols import Constant, Gaussian, Horizontal, Radial, heat_gaussian
 
-DEFAULTS = {
-    "model.n": 1,
-    "model.t": 1.0,
-    "model.D": 16,
-    "model.Q": 20,
-    "conv.window": None,  # None -> default_window(t, D)
-    "conv.m": 48,
-    "run.seed": 0,
-    "run.outdir": ".",
-    "tol.identity": 1e-10,
-    "tol.weyl": 1e-6,
-    "tol.trace": 1e-4,
-    "tol.duality": 1e-4,
-    "tol.pipeline": 1e-4,
-}
-
-_CASTS = {
-    "model.n": int,
-    "model.D": int,
-    "model.Q": int,
-    "conv.m": int,
-    "run.seed": int,
-    "run.outdir": str,
+# key: (default, type, flag, help); the tol.* keys have no flag
+SETTINGS = {
+    "model.n": (1, int, "--n", "complex dimension"),
+    "model.t": (1.0, float, "--t", "Gaussian weight parameter"),
+    "model.D": (16, int, "--D", "total-degree cutoff"),
+    "model.Q": (20, int, "--Q", "quadrature order per axis"),
+    # None -> default_window(t, D)
+    "conv.window": (None, float, "--window", "convolution dV window half-width"),
+    "conv.m": (48, int, "--m", "convolution grid points per axis"),
+    "run.seed": (0, int, "--seed", "seed for all randomized choices"),
+    "run.outdir": (".", str, "--outdir", "output directory"),
+    "tol.identity": (1e-10, float, None, None),
+    "tol.weyl": (1e-6, float, None, None),
+    "tol.trace": (1e-4, float, None, None),
+    "tol.duality": (1e-4, float, None, None),
+    "tol.pipeline": (1e-4, float, None, None),
 }
 
 
@@ -65,8 +92,8 @@ def parse_config_file(path) -> dict:
 
 
 def resolve_config(args) -> dict:
-    """Defaults <- config file <- command-line flags, with casting."""
-    cfg = dict(DEFAULTS)
+    """Defaults <- config file <- command-line flags, cast by each key's type."""
+    cfg = {key: default for key, (default, *_) in SETTINGS.items()}
     if args.config:
         if not os.path.exists(args.config):
             raise ConfigError(f"config file not found: {args.config}")
@@ -74,23 +101,11 @@ def resolve_config(args) -> dict:
             if key not in cfg:
                 raise ConfigError(f"unknown config key: {key}")
             cfg[key] = raw
-    for key, flag in [
-        ("model.n", "n"),
-        ("model.t", "t"),
-        ("model.D", "D"),
-        ("model.Q", "Q"),
-        ("conv.window", "window"),
-        ("conv.m", "m"),
-        ("run.seed", "seed"),
-        ("run.outdir", "outdir"),
-    ]:
-        val = getattr(args, flag, None)
-        if val is not None:
-            cfg[key] = val
-    for key, value in cfg.items():
+    for key, (_, cast, _, _) in SETTINGS.items():
+        flagged = getattr(args, key, None)
+        value = cfg[key] if flagged is None else flagged
         if value is None:
             continue
-        cast = _CASTS.get(key, float)
         try:
             cfg[key] = cast(value)
         except (TypeError, ValueError) as exc:
@@ -99,8 +114,6 @@ def resolve_config(args) -> dict:
 
 
 def _build_model(cfg):
-    from .model import FockParams
-
     try:
         return FockParams(cfg["model.n"], cfg["model.t"], cfg["model.D"], cfg["model.Q"])
     except ValueError as exc:
@@ -108,9 +121,6 @@ def _build_model(cfg):
 
 
 def _conv_config(cfg, params):
-    from .convolution import ConvolutionConfig
-    from .quadrature import default_window
-
     W = cfg["conv.window"]
     if W is None:
         W = default_window(params.t, params.D)
@@ -129,12 +139,6 @@ def parse_target(spec: str, params):
     Complex numbers use python literal syntax, e.g. 0.5+0.5j.  At n >= 2
     the centre and z are repeated on every axis.
     """
-    import numpy as np
-
-    from .model import kernel_coefficients, rank_one
-    from .operators import toeplitz, weyl
-    from .symbols import Gaussian
-
     parts = spec.split(":")
     kind = parts[0]
     try:
@@ -154,136 +158,82 @@ def parse_target(spec: str, params):
     raise ConfigError(f"unknown target kind {kind!r} (toeplitz | weyl | rank-one)")
 
 
-def cmd_verify(cfg) -> int:
+def cmd_verify(cfg, args) -> int:
     """Run the identity suites; exit 0 iff every residual passes."""
-    import numpy as np
-
-    from .convolution import (
-        ResidualRecord,
-        adjoint_duality_residuals,
-        toeplitz_via_convolution,
-        trace_identity_residual,
-        window_unstable,
-    )
-    from .model import (
-        _grid_basis,
-        identity_operator,
-        kernel_coefficients,
-        degree_projector,
-        operator_norm_2,
-        rank_one,
-    )
-    from .operators import toeplitz, weyl
-    from .symbols import Constant, Gaussian, heat_gaussian
-
     params = _build_model(cfg)
     conv_cfg = _conv_config(cfg, params)
     rng = np.random.default_rng(cfg["run.seed"])
-    records = []
-
-    def record(identity, operands, residual, tol):
-        records.append(
-            ResidualRecord(
-                identity=identity,
-                operands=operands,
-                residual=float(residual),
-                cfg={"tolerance": tol, "window": conv_cfg.window, "m": conv_cfg.m},
-            )
-        )
-        return float(residual) <= tol
-
-    ok = True
-    flags = []
+    results = []  # (identity, operands, residual, tolerance)
 
     E, B = _grid_basis(params)
+    eye = np.eye(params.dim)
     gram = B @ E.T
-    ok &= record(
-        "orthonormality",
-        "basis Gram matrix",
-        np.max(np.abs(gram - np.eye(params.dim))),
-        cfg["tol.identity"],
+    results.append(
+        ("orthonormality", "basis Gram matrix", np.max(np.abs(gram - eye)), cfg["tol.identity"])
     )
-    T1 = toeplitz(params, Constant(1.0, n=params.n))
-    ok &= record(
-        "toeplitz-of-one",
-        "T_1 vs identity",
-        np.max(np.abs(T1.matrix - np.eye(params.dim))),
-        cfg["tol.identity"],
+    T1 = toeplitz(params, Constant(1.0, n=params.n)).matrix
+    results.append(
+        ("toeplitz-of-one", "T_1 vs identity", np.max(np.abs(T1 - eye)), cfg["tol.identity"])
     )
 
-    proj = degree_projector(params, params.D // 2)
     # z and w repeat z0 and w0 on every axis; the phase is e^{-i Im<z, w>/t}
     z0, w0 = 0.5, 0.25 + 0.25j
     z, w = np.full(params.n, z0, dtype=complex), np.full(params.n, w0, dtype=complex)
     lhs = weyl(params, z) @ weyl(params, w)
     phase = np.exp(-1j * np.imag(np.vdot(w, z)) / params.t)
     rhs = phase * weyl(params, z + w)
-    ok &= record(
-        "weyl-commutation",
-        f"z={z0}, w={w0}",
-        operator_norm_2(proj @ (lhs - rhs) @ proj),
-        cfg["tol.weyl"],
-    )
+    commutation = trusted_norm(lhs - rhs)
+    results.append(("weyl-commutation", f"z={z0}, w={w0}", commutation, cfg["tol.weyl"]))
 
     k0 = kernel_coefficients(params, np.full(params.n, 0.3))
     c = rng.standard_normal(params.dim) + 1j * rng.standard_normal(params.dim)
     decay = np.exp(-0.3 * np.arange(params.dim))
-    from .model import FockVector
-
     v = FockVector(params, c * decay / np.linalg.norm(c * decay))
     A = rank_one(k0, k0)
     Bop = rank_one(v, v)
-    ok &= record(
-        "trace-identity",
-        "rank-one pair",
-        trace_identity_residual(A, Bop, conv_cfg),
-        cfg["tol.trace"],
-    )
+    trace = trace_identity_residual(A, Bop, conv_cfg)
+    results.append(("trace-identity", "rank-one pair", trace, cfg["tol.trace"]))
 
     f = Gaussian(center=0.3, width=2.0, n=params.n)
-    r1, r2, r3 = adjoint_duality_residuals(f, A, Bop, identity_operator(params), conv_cfg)
-    for name, r in [("duality-1", r1), ("duality-2", r2), ("duality-3", r3)]:
-        ok &= record(name, "gaussian / rank-one operands", r, cfg["tol.duality"])
+    dualities = adjoint_duality_residuals(f, A, Bop, identity_operator(params), conv_cfg)
+    for name, r in zip(("duality-1", "duality-2", "duality-3"), dualities):
+        results.append((name, "gaussian / rank-one operands", r, cfg["tol.duality"]))
 
-    T_direct = toeplitz(params, f)
-    T_conv = toeplitz_via_convolution(f, params, conv_cfg)
-    rel = np.linalg.norm(T_direct.matrix - T_conv.matrix) / np.linalg.norm(
-        T_direct.matrix
-    )
-    ok &= record("two-pipeline-toeplitz", "gaussian symbol", rel, cfg["tol.pipeline"])
+    T_direct = toeplitz(params, f).matrix
+    T_conv = toeplitz_via_convolution(f, params, conv_cfg).matrix
+    rel = np.linalg.norm(T_direct - T_conv) / np.linalg.norm(T_direct)
+    results.append(("two-pipeline-toeplitz", "gaussian symbol", rel, cfg["tol.pipeline"]))
 
+    flags = []
     if window_unstable(heat_gaussian(params.t, params.n), conv_cfg, params.n):
         flags.append("window-instability: L1 mass moved when the window doubled")
 
+    grid = {"window": conv_cfg.window, "m": conv_cfg.m}
+    records = [
+        {"identity": name, "operands": ops, "residual": float(r), "cfg": {"tolerance": tol, **grid}}
+        for name, ops, r, tol in results
+    ]
+    failing = [name for name, _, r, tol in results if not r <= tol]
     write_json(
         _outpath(cfg, "verify_report.json"),
-        {
-            "config": cfg,
-            "records": [r.as_dict() for r in records],
-            "flags": flags,
-            "passed": bool(ok),
-        },
+        {"config": cfg, "records": records, "flags": flags, "passed": not failing},
     )
-    for r in records:
-        status = "pass" if r.residual <= r.cfg["tolerance"] else "FAIL"
-        print(f"{status}  {r.identity}: residual {r.residual:.3e}")
+    for name, _, r, tol in results:
+        print(f"{'pass' if r <= tol else 'FAIL'}  {name}: residual {r:.3e}")
     for fl in flags:
         print(f"flag  {fl}")
-    if not ok:
-        failing = [r.identity for r in records if r.residual > r.cfg["tolerance"]]
+    if failing:
         print(f"verification failed: {', '.join(failing)}", file=sys.stderr)
         return 1
     return 0
 
 
-def cmd_approx(cfg, target_spec: str) -> int:
-    from .approximation import toeplitz_approximation
-
+def cmd_approx(cfg, args) -> int:
     params = _build_model(cfg)
     if params.n != 1:
         raise ConfigError("approx fits heat kernels for n = 1 only")
-    A = parse_target(target_spec, params)
-    report = toeplitz_approximation(A, [1, 2, 4, 8], target=target_spec)
+    A = parse_target(args.target, params)
+    report = toeplitz_approximation(A, [1, 2, 4, 8], target=args.target)
     report.to_csv(_outpath(cfg, "approx_report.csv"))
     write_json(_outpath(cfg, "approx_report.json"), {"config": cfg, "report": report.as_dict()})
     for st in report.stages:
@@ -291,20 +241,8 @@ def cmd_approx(cfg, target_spec: str) -> int:
     return 0
 
 
-def cmd_sweep(cfg, kind: str, symbol: str) -> int:
-    import numpy as np
-
-    from .approximation import approximate_identity_sweep
-    from .experiments import (
-        SweepRecord,
-        compactness_diagnostic,
-        invariance_check,
-        quantization_sweep,
-        write_sweep_csv,
-    )
-    from .operators import toeplitz
-    from .symbols import Gaussian, Horizontal, Radial
-
+def cmd_sweep(cfg, args) -> int:
+    kind, symbol = args.kind, args.symbol
     params = _build_model(cfg)
     meta = {"kind": kind, "symbol": symbol}
 
@@ -356,29 +294,30 @@ def cmd_sweep(cfg, kind: str, symbol: str) -> int:
     return 0
 
 
-def cmd_export_operator(cfg, target_spec: str) -> int:
-    from .serialize import save_operator
-
+def cmd_export_operator(cfg, args) -> int:
     params = _build_model(cfg)
-    A = parse_target(target_spec, params)
+    A = parse_target(args.target, params)
     path = _outpath(cfg, "operator.json")
-    save_operator(A, path, extra={"target": target_spec, "config": cfg})
+    save_operator(A, path, extra={"target": args.target, "config": cfg})
     print(f"wrote {path}")
     return 0
 
 
-def cmd_export_berezin(cfg, target_spec: str, m: int) -> int:
-    from .operators import berezin
-
+def cmd_export_berezin(cfg, args) -> int:
     params = _build_model(cfg)
     if params.n != 1:
         raise ConfigError("export-berezin writes n = 1 grids only")
-    A = parse_target(target_spec, params)
+    A = parse_target(args.target, params)
     path = _outpath(cfg, "berezin.csv")
-    berezin(A, m=m).to_csv(path)
+    berezin(A, m=args.grid_m).to_csv(path)
     write_json(
         _outpath(cfg, "berezin.json"),
-        {"config": cfg, "target": target_spec, "window": float(params.trusted_radius), "m": m},
+        {
+            "config": cfg,
+            "target": args.target,
+            "window": float(params.trusted_radius),
+            "m": args.grid_m,
+        },
     )
     print(f"wrote {path}")
     return 0
@@ -394,28 +333,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="flat key=value config file")
     parser.add_argument("--print-config", action="store_true", help="dump resolved config and exit")
-    parser.add_argument("--n", type=int, help="complex dimension")
-    parser.add_argument("--t", type=float, help="Gaussian weight parameter")
-    parser.add_argument("--D", type=int, help="total-degree cutoff")
-    parser.add_argument("--Q", type=int, help="quadrature order per axis")
-    parser.add_argument("--window", type=float, help="convolution dV window half-width")
-    parser.add_argument("--m", type=int, help="convolution grid points per axis")
-    parser.add_argument("--seed", type=int, help="seed for all randomized choices")
-    parser.add_argument("--outdir", help="output directory")
+    for key, (_, cast, flag, help_text) in SETTINGS.items():
+        if flag:
+            parser.add_argument(flag, dest=key, metavar=flag[2:].upper(), type=cast, help=help_text)
     parser.add_argument("--threads", type=int, default=1, help="accepted and ignored")
 
+    # the handlers are looked up when the parser is built, so a wrapper
+    # rebound onto this module (a tracer, say) is the one that runs
     sub = parser.add_subparsers(dest="command")
-    sub.add_parser("verify", help="run all identity suites")
+    sub.add_parser("verify", help="run all identity suites").set_defaults(handler=cmd_verify)
     p_approx = sub.add_parser("approx", help="constructive Toeplitz approximation of a target")
     p_approx.add_argument("target", help="toeplitz:<width>[:<center>] | weyl:<z> | rank-one:<z>")
+    p_approx.set_defaults(handler=cmd_approx)
     p_sweep = sub.add_parser("sweep", help="parameter sweeps")
     p_sweep.add_argument("kind", help="quantization | approx-identity | compactness | invariance")
     p_sweep.add_argument("--symbol", default="", help="sweep-specific symbol selector")
+    p_sweep.set_defaults(handler=cmd_sweep)
     p_exp = sub.add_parser("export-operator", help="write an operator as a JSON document")
     p_exp.add_argument("target")
+    p_exp.set_defaults(handler=cmd_export_operator)
     p_ber = sub.add_parser("export-berezin", help="write a Berezin transform grid as CSV")
     p_ber.add_argument("target")
     p_ber.add_argument("--grid-m", type=int, default=41, help="samples per axis")
+    p_ber.set_defaults(handler=cmd_export_berezin)
     return parser
 
 
@@ -435,20 +375,10 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 2
     try:
-        if args.command == "verify":
-            return cmd_verify(cfg)
-        if args.command == "approx":
-            return cmd_approx(cfg, args.target)
-        if args.command == "sweep":
-            return cmd_sweep(cfg, args.kind, args.symbol)
-        if args.command == "export-operator":
-            return cmd_export_operator(cfg, args.target)
-        if args.command == "export-berezin":
-            return cmd_export_berezin(cfg, args.target, args.grid_m)
+        return args.handler(cfg, args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 2
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ and the adjoint duality relations, exposed as residual computations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,11 +86,7 @@ def conv_fun_op(f, A: FockOperator, cfg: ConvolutionConfig) -> FockOperator:
     """
     params = A.params
     grid = cfg.grid(params.n)
-    fvals = np.asarray(f(grid.nodes))
-    if not np.all(np.isfinite(fvals)):
-        i = int(np.argmax(~np.isfinite(fvals)))
-        raise ValueError(f"non-finite kernel value at node {grid.nodes[i]}")
-    c = grid.weights * fvals
+    c = grid.weights * grid.evaluate(f)
     keep = np.flatnonzero(c)
     c = c[keep]
     d = params.dim
@@ -221,21 +217,3 @@ def young_ratio(f, A: FockOperator, cfg: ConvolutionConfig) -> float:
     if denom == 0.0:
         return 0.0
     return operator_norm_2(conv_fun_op(f, A, cfg)) / denom
-
-
-@dataclass
-class ResidualRecord:
-    """JSON-ready record of one identity check."""
-
-    identity: str
-    operands: str
-    residual: float
-    cfg: dict = field(default_factory=dict)
-
-    def as_dict(self) -> dict:
-        return {
-            "identity": self.identity,
-            "operands": self.operands,
-            "residual": self.residual,
-            "cfg": self.cfg,
-        }

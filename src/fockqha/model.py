@@ -11,6 +11,8 @@ complex matrices M[a, b] = <A e_b, e_a>.
 from __future__ import annotations
 
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -23,6 +25,16 @@ from .quadrature import gaussian_grid
 # Truncation defect above which kernel_coefficients emits a warning:
 # the coherent state at z carries weight outside degrees <= D.
 KERNEL_DEFECT_THRESHOLD = 1e-6
+
+_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
+
+
+def _warn(message: str) -> None:
+    """Warn at the innermost frame outside this package: the caller's line."""
+    frame, level = sys._getframe(1), 2
+    while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, stacklevel=level)
 
 
 @dataclass(frozen=True)
@@ -229,10 +241,7 @@ def kernel_coefficients(params: FockParams, z) -> FockVector:
     c = np.exp(-np.sum(np.abs(z) ** 2) / (2.0 * params.t)) * np.conj(E)
     defect = 1.0 - float(np.sum(np.abs(c) ** 2))
     if defect > KERNEL_DEFECT_THRESHOLD:
-        warnings.warn(
-            f"kernel truncation defect {defect:.3e} at z={z} exceeds threshold",
-            stacklevel=2,
-        )
+        _warn(f"kernel truncation defect {defect:.3e} at z={z} exceeds threshold")
     return FockVector(params, c)
 
 
@@ -269,6 +278,21 @@ def operator_norm_2(A: FockOperator) -> float:
     if not np.any(A.matrix):
         return 0.0
     return float(scipy.linalg.svdvals(A.matrix)[0])
+
+
+def trusted_norm(A: FockOperator) -> float:
+    """Spectral norm of the trusted sub-block of A: degrees <= D/2.
+
+    Graded order lists those degrees first, so the block is the leading
+    comb(D//2 + n, n) square; the top degrees of a truncated matrix carry
+    truncation artifacts that no identity can be checked against.  The
+    block keeps its zero padding to dim x dim: the SVD of the bare block
+    rounds differently in the last bits.
+    """
+    k = math.comb(A.params.D // 2 + A.params.n, A.params.n)
+    block = np.zeros_like(A.matrix)
+    block[:k, :k] = A.matrix[:k, :k]
+    return operator_norm_2(FockOperator(A.params, block))
 
 
 def singular_values(A: FockOperator) -> np.ndarray:

@@ -158,11 +158,7 @@ def toeplitz(params: FockParams, f) -> FockOperator:
     """
     grid = params.grid()
     E, B = _grid_basis(params)
-    fvals = np.asarray(f(grid.nodes))
-    if not np.all(np.isfinite(fvals)):
-        i = int(np.argmax(~np.isfinite(fvals)))
-        raise ValueError(f"non-finite symbol value at node {grid.nodes[i]}")
-    return FockOperator(params, (B * fvals) @ E.T)
+    return FockOperator(params, (B * grid.evaluate(f)) @ E.T)
 
 
 def berezin_values(A: FockOperator, points: np.ndarray) -> np.ndarray:

@@ -50,6 +50,14 @@ class GaussGrid:
     def size(self) -> int:
         return self.weights.shape[0]
 
+    def evaluate(self, f) -> np.ndarray:
+        """f at every node as an array; a non-finite value raises ValueError naming its node."""
+        vals = np.asarray(f(self.nodes))
+        bad = ~np.isfinite(vals)
+        if np.any(bad):
+            raise ValueError(f"non-finite value at node {self.nodes[np.argmax(bad)]}")
+        return vals
+
     def to_csv(self, path) -> None:
         """Dump nodes and weights for audit (one row per node)."""
         n = self.nodes.shape[1]
@@ -114,9 +122,4 @@ def integrate(grid: GaussGrid, f) -> complex:
     returning (P,) values.  A non-finite value aborts with the
     offending node in the message; NaNs never propagate silently.
     """
-    vals = np.asarray(f(grid.nodes))
-    bad = ~np.isfinite(vals)
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise ValueError(f"non-finite integrand value at node {grid.nodes[i]}")
-    return complex(np.sum(grid.weights * vals))
+    return complex(np.sum(grid.weights * grid.evaluate(f)))

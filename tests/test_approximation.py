@@ -93,6 +93,14 @@ def test_out_of_window_nodes_flagged():
         build_symbol_from_berezin(pc_operator(P), fit)
 
 
+def test_warning_names_the_callers_line():
+    # the fit-node warning is raised two calls deep in the package; it must
+    # point at this file, not at a library line
+    with pytest.warns(UserWarning, match="trusted") as caught:
+        toeplitz_approximation(pc_operator(P), [2], target="pc")
+    assert [w.filename for w in caught] == [__file__]
+
+
 def test_identity_target_is_exact():
     import warnings
 

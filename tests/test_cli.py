@@ -57,6 +57,9 @@ def test_verify_passes_on_default_model(tmp_path, capsys):
     assert doc["passed"] is True
     assert doc["schema"] == "1"
     assert doc["config"]["model.D"] == 16  # resolved config embedded
+    for record in doc["records"]:
+        assert set(record) == {"identity", "operands", "residual", "cfg"}
+        assert set(record["cfg"]) == {"tolerance", "window", "m"}
 
 
 def test_verify_rejects_invalid_model(capsys):

@@ -5,7 +5,6 @@ import pytest
 
 from fockqha.convolution import (
     ConvolutionConfig,
-    ResidualRecord,
     adjoint_duality_residuals,
     conv_fun_fun,
     conv_fun_op,
@@ -282,9 +281,3 @@ def test_window_instability_detection():
 
 def test_l1_window_norm_of_unit_mass():
     assert l1_window_norm(heat_gaussian(1.0), CFG) == pytest.approx(1.0, abs=1e-8)
-
-
-def test_residual_record_round_trip():
-    r = ResidualRecord(identity="trace", operands="pc,pc", residual=1e-9, cfg={"m": 4})
-    d = r.as_dict()
-    assert d["identity"] == "trace" and d["cfg"]["m"] == 4
