@@ -7,7 +7,12 @@ Two steps realize the constructive scheme:
    the 1/N target.  The fit is fixed: nodes on the square lattice of
    pitch sqrt(t/N)/2 inside the disk of radius 3 sqrt(t) + sqrt(t/N),
    least squares with relative ridge 1e-8 (escalated only if the normal
-   equations fail), coefficients rescaled to sum to 1.
+   equations fail), coefficients rescaled to sum to 1.  The least-squares
+   grid is the tensor square of an 80-node Gauss-Legendre rule and f_{t/N}
+   and every translate factor over the two real axes, so the normal
+   equations and the residual are assembled from 1-d Gram factors, never
+   from the (80^2 x J) design matrix; the numbers equal the dense
+   assembly's to roundoff.
 2. For an operator A in the trusted class, build the symbol
    g_N = sum_j c_j * (Berezin transform of A)(. - z_j) and compare A
    with the Toeplitz operator T_{g_N}, alongside the baseline curve
@@ -27,7 +32,7 @@ from ._output import params_dict, write_csv, write_json
 from .convolution import ConvolutionConfig, conv_fun_op
 from .model import FockOperator, FockParams, _warn, operator_norm_2, trusted_norm
 from .operators import BerezinSymbol, toeplitz
-from .quadrature import lebesgue_grid
+from .quadrature import _legendre_rule
 from .symbols import Scale, Symbol, SymbolSum, Translate, heat_gaussian
 
 # relative ridge: large oscillating coefficients amplify Berezin
@@ -69,26 +74,29 @@ def fit_heat_kernel(params: FockParams, N: int) -> HeatKernelFit:
         )
     if params.n != 1:
         raise NotImplementedError("heat-kernel fitting lattices are built for n = 1")
-    t = params.t
-    pitch = 0.5 * np.sqrt(t / N)
-    radius = 3.0 * np.sqrt(t) + np.sqrt(t / N)
+    t, s = params.t, params.t / N
+    pitch = 0.5 * np.sqrt(s)
+    radius = 3.0 * np.sqrt(t) + np.sqrt(s)
     k = int(np.floor(radius / pitch))
     axis = pitch * np.arange(-k, k + 1)
-    X, Y = np.meshgrid(axis, axis, indexing="ij")
-    z = (X + 1j * Y).ravel()
-    nodes = z[np.abs(z) <= radius + 1e-12][:, None]
+    z = (axis[:, None] + 1j * axis[None, :]).ravel()
+    inside = np.flatnonzero(np.abs(z) <= radius + 1e-12)
+    nodes = z[inside][:, None]
+    a, b = np.divmod(inside, axis.size)  # lattice indices of each node
 
-    # window covering the lattice plus the Gaussian tails of f_t
-    grid = lebesgue_grid(float(radius + 4.0 * np.sqrt(t)), 80, params.n)
-    target = heat_gaussian(t / N, params.n)(grid.nodes).real
-
-    # design matrix: Phi[i, j] = f_t(x_i - z_j)
-    diff = grid.nodes[:, None, 0] - nodes[None, :, 0]
-    Phi = (np.pi * t) ** (-params.n) * np.exp(-np.abs(diff) ** 2 / t)
-    sw = np.sqrt(grid.weights)
-    Aw = Phi * sw[:, None]
-    G = Aw.T @ Aw
-    rhs = Aw.T @ (target * sw)
+    # The dV window (the lattice plus the Gaussian tails of f_t) is the
+    # square of a 1-d rule, and f_s and every atom f_t(. - z_j) factor over
+    # the real and imaginary axes, so the weighted normal equations are
+    # products of entries of the 1-d Gram matrix G1 = E^T diag(w) E.
+    x, w = _legendre_rule(float(radius + 4.0 * np.sqrt(t)), 80)
+    E = np.exp(-((x[:, None] - axis[None, :]) ** 2) / t)  # (80, 2k + 1)
+    G1 = E.T @ (w[:, None] * E)
+    g = np.exp(-(x**2) / s)
+    r1 = E.T @ (w * g)
+    G = G1[np.ix_(a, a)]
+    G *= G1[np.ix_(b, b)]
+    G *= (np.pi * t) ** -2
+    rhs = r1[a] * r1[b] / (np.pi**2 * s * t)
     scale = float(np.trace(G)) / G.shape[0]
 
     lam = RIDGE
@@ -106,7 +114,11 @@ def fit_heat_kernel(params: FockParams, N: int) -> HeatKernelFit:
         _warn(f"heat-kernel fit ridge escalated to {lam:.1e}")
 
     c = c / float(np.sum(c))
-    resid = float(np.sum(grid.weights * np.abs(target - Phi @ c)))
+    # L^1 residual on the same grid; the fitted field on it is E C E^T / (pi t)
+    C = np.zeros((axis.size, axis.size))
+    C[a, b] = c
+    err = np.outer(g, g) / (np.pi * s) - (E @ C @ E.T) / (np.pi * t)
+    resid = float(w @ np.abs(err) @ w)
     return HeatKernelFit(N=N, nodes=nodes, coefficients=c, l1_residual=resid, ridge=lam)
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -233,11 +234,27 @@ def cmd_approx(cfg, args) -> int:
     if params.n != 1:
         raise ConfigError("approx fits heat kernels for n = 1 only")
     A = parse_target(args.target, params)
-    report = toeplitz_approximation(A, [1, 2, 4, 8], target=args.target)
+    # under `python -m fockqha.cli` every frame down to the module runner is
+    # package code, so a warning names no useful line: report each distinct
+    # one as a flag instead
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)
+        report = toeplitz_approximation(A, [1, 2, 4, 8], target=args.target)
+    flags = []
+    for w in caught:
+        if w.category is not UserWarning:
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+        elif str(w.message) not in flags:
+            flags.append(str(w.message))
     report.to_csv(_outpath(cfg, "approx_report.csv"))
-    write_json(_outpath(cfg, "approx_report.json"), {"config": cfg, "report": report.as_dict()})
+    write_json(
+        _outpath(cfg, "approx_report.json"),
+        {"config": cfg, "report": report.as_dict(), "flags": flags},
+    )
     for st in report.stages:
         print(f"N={st.N}  l1={st.fit.l1_residual:.4e}  op_error={st.op_error:.4e}")
+    for fl in flags:
+        print(f"flag  {fl}")
     return 0
 
 

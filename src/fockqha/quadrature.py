@@ -96,17 +96,20 @@ def gaussian_grid(n: int, t: float, Q: int) -> GaussGrid:
     return GaussGrid(z, wt, measure=f"gaussian(t={t})")
 
 
-@lru_cache(maxsize=64)
-def lebesgue_grid(W: float, m: int, n: int) -> GaussGrid:
-    """Tensor Gauss-Legendre grid for dV on the window [-W, W]^{2n}."""
+def _legendre_rule(W: float, m: int):
+    """The 1-d Gauss-Legendre rule on [-W, W] that lebesgue_grid tensors."""
     if m < 2:
         raise ValueError("m must be >= 2")
     if W <= 0:
         raise ValueError("W must be positive")
     x, w = np.polynomial.legendre.leggauss(m)
-    nodes = W * x
-    weights = W * w
-    z, wt = _tensorize(nodes, weights, n)
+    return W * x, W * w
+
+
+@lru_cache(maxsize=64)
+def lebesgue_grid(W: float, m: int, n: int) -> GaussGrid:
+    """Tensor Gauss-Legendre grid for dV on the window [-W, W]^{2n}."""
+    z, wt = _tensorize(*_legendre_rule(W, m), n)
     return GaussGrid(z, wt, measure=f"lebesgue(W={W}, m={m})")
 
 

@@ -9,7 +9,6 @@ import os
 import subprocess
 import sys
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -162,8 +161,7 @@ def test_criterion_07_theorem_a_constructive_scheme():
         ("rank-one-k0", rank_one(k0, k0)),
     ]
     ok = True
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+    with pytest.warns(UserWarning, match="trusted"):
         for name, A in targets:
             report = toeplitz_approximation(A, [1, 2, 4, 8], target=name)
             errs = [st.op_error for st in report.stages]

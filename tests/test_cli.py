@@ -2,7 +2,11 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -73,6 +77,26 @@ def test_verify_flags_tiny_window(tmp_path):
     doc = json.loads((tmp_path / "verify_report.json").read_text())
     assert code == 1
     assert any("window" in f for f in doc["flags"])
+
+
+def test_approx_reports_warnings_as_flags(tmp_path):
+    # under `python -m` every frame below the runner is package code, so the
+    # fit-node warnings become flag lines and report entries, not stderr
+    # lines naming the module runner
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.getenv("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    cmd = [sys.executable, "-m", "fockqha.cli", "--D", "8", "--Q", "12", "--m", "24"]
+    proc = subprocess.run(
+        cmd + ["--outdir", str(tmp_path), "approx", "weyl:0.5"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "runpy" not in proc.stderr
+    flags = json.loads((tmp_path / "approx_report.json").read_text())["flags"]
+    assert flags and all("outside the trusted Berezin window" in f for f in flags)
+    assert len(set(flags)) == len(flags)
+    assert [line[6:] for line in proc.stdout.splitlines() if line.startswith("flag  ")] == flags
 
 
 def test_malformed_approx_target(capsys):

@@ -1,6 +1,6 @@
-"""The benchmark harness still runs: one small traced pass of `identities`.
+"""The benchmark harness still runs: one small traced pass per workload.
 
-No timing is gated here; the pass checks that the harness imports the
+No timing is gated here; each pass checks that the harness imports the
 package, that its references accept the outputs, and that the traced
 spans still find the functions they wrap.
 """
@@ -10,11 +10,20 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 RUN = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
 
+# a span of each workload's own path that the tracer must still wrap
+SPANS = {
+    "identities": "cli.cmd_verify.self_s",
+    "theorem_a": "approximation.fit_heat_kernel.calls",
+}
 
-def test_identities_small_traced_pass():
-    argv = ["--workload", "identities", "--small", "--seconds", "0", "--trace", "1"]
+
+@pytest.mark.parametrize("workload", sorted(SPANS))
+def test_small_traced_pass(workload):
+    argv = ["--workload", workload, "--small", "--seconds", "0", "--trace", "1"]
     proc = subprocess.run(
         [sys.executable, str(RUN), *argv], capture_output=True, text=True, timeout=300
     )
@@ -22,5 +31,4 @@ def test_identities_small_traced_pass():
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True, proc.stderr
     assert result["failed"] == 0, proc.stderr
-    # the span exists: the tracer still wraps the verify command
-    assert result["metrics"]["cli.cmd_verify.self_s"]["value"] > 0
+    assert result["metrics"][SPANS[workload]]["value"] > 0
