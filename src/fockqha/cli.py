@@ -18,6 +18,7 @@ output byte.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 import warnings
@@ -134,6 +135,27 @@ def _outpath(cfg, name) -> Path:
     return outdir / name
 
 
+@contextlib.contextmanager
+def _warnings_as_flags():
+    """Collect each distinct UserWarning of the block as a flag message.
+
+    Under `python -m fockqha.cli` every frame down to the module runner is
+    package code, so a warning would name `<frozen runpy>` and no useful
+    line; every command reports them as flags instead.  The yielded list
+    receives the messages in order when the block ends; warnings of other
+    categories are shown as usual.
+    """
+    flags = []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)
+        yield flags
+    for w in caught:
+        if w.category is not UserWarning:
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+        elif str(w.message) not in flags:
+            flags.append(str(w.message))
+
+
 def parse_target(spec: str, params):
     """Target grammar: toeplitz:<width>[:<center>] | weyl:<z> | rank-one:<z>.
 
@@ -163,51 +185,50 @@ def cmd_verify(cfg, args) -> int:
     """Run the identity suites; exit 0 iff every residual passes."""
     params = _build_model(cfg)
     conv_cfg = _conv_config(cfg, params)
-    rng = np.random.default_rng(cfg["run.seed"])
-    results = []  # (identity, operands, residual, tolerance)
+    with _warnings_as_flags() as flags:
+        rng = np.random.default_rng(cfg["run.seed"])
+        results = []  # (identity, operands, residual, tolerance)
 
-    E, B = _grid_basis(params)
-    eye = np.eye(params.dim)
-    gram = B @ E.T
-    results.append(
-        ("orthonormality", "basis Gram matrix", np.max(np.abs(gram - eye)), cfg["tol.identity"])
-    )
-    T1 = toeplitz(params, Constant(1.0, n=params.n)).matrix
-    results.append(
-        ("toeplitz-of-one", "T_1 vs identity", np.max(np.abs(T1 - eye)), cfg["tol.identity"])
-    )
+        # the plane Gram matrix; toeplitz-of-one checks the full n-variable one
+        e, b = _grid_basis(params)
+        plane_defect = np.max(np.abs(b @ e.T - np.eye(params.D + 1)))
+        results.append(("orthonormality", "basis Gram matrix", plane_defect, cfg["tol.identity"]))
+        eye = np.eye(params.dim)
+        T1 = toeplitz(params, Constant(1.0, n=params.n)).matrix
+        results.append(
+            ("toeplitz-of-one", "T_1 vs identity", np.max(np.abs(T1 - eye)), cfg["tol.identity"])
+        )
 
-    # z and w repeat z0 and w0 on every axis; the phase is e^{-i Im<z, w>/t}
-    z0, w0 = 0.5, 0.25 + 0.25j
-    z, w = np.full(params.n, z0, dtype=complex), np.full(params.n, w0, dtype=complex)
-    lhs = weyl(params, z) @ weyl(params, w)
-    phase = np.exp(-1j * np.imag(np.vdot(w, z)) / params.t)
-    rhs = phase * weyl(params, z + w)
-    commutation = trusted_norm(lhs - rhs)
-    results.append(("weyl-commutation", f"z={z0}, w={w0}", commutation, cfg["tol.weyl"]))
+        # z and w repeat z0 and w0 on every axis; the phase is e^{-i Im<z, w>/t}
+        z0, w0 = 0.5, 0.25 + 0.25j
+        z, w = np.full(params.n, z0, dtype=complex), np.full(params.n, w0, dtype=complex)
+        lhs = weyl(params, z) @ weyl(params, w)
+        phase = np.exp(-1j * np.imag(np.vdot(w, z)) / params.t)
+        rhs = phase * weyl(params, z + w)
+        commutation = trusted_norm(lhs - rhs)
+        results.append(("weyl-commutation", f"z={z0}, w={w0}", commutation, cfg["tol.weyl"]))
 
-    k0 = kernel_coefficients(params, np.full(params.n, 0.3))
-    c = rng.standard_normal(params.dim) + 1j * rng.standard_normal(params.dim)
-    decay = np.exp(-0.3 * np.arange(params.dim))
-    v = FockVector(params, c * decay / np.linalg.norm(c * decay))
-    A = rank_one(k0, k0)
-    Bop = rank_one(v, v)
-    trace = trace_identity_residual(A, Bop, conv_cfg)
-    results.append(("trace-identity", "rank-one pair", trace, cfg["tol.trace"]))
+        k0 = kernel_coefficients(params, np.full(params.n, 0.3))
+        c = rng.standard_normal(params.dim) + 1j * rng.standard_normal(params.dim)
+        decay = np.exp(-0.3 * np.arange(params.dim))
+        v = FockVector(params, c * decay / np.linalg.norm(c * decay))
+        A = rank_one(k0, k0)
+        Bop = rank_one(v, v)
+        trace = trace_identity_residual(A, Bop, conv_cfg)
+        results.append(("trace-identity", "rank-one pair", trace, cfg["tol.trace"]))
 
-    f = Gaussian(center=0.3, width=2.0, n=params.n)
-    dualities = adjoint_duality_residuals(f, A, Bop, identity_operator(params), conv_cfg)
-    for name, r in zip(("duality-1", "duality-2", "duality-3"), dualities):
-        results.append((name, "gaussian / rank-one operands", r, cfg["tol.duality"]))
+        f = Gaussian(center=0.3, width=2.0, n=params.n)
+        dualities = adjoint_duality_residuals(f, A, Bop, identity_operator(params), conv_cfg)
+        for name, r in zip(("duality-1", "duality-2", "duality-3"), dualities):
+            results.append((name, "gaussian / rank-one operands", r, cfg["tol.duality"]))
 
-    T_direct = toeplitz(params, f).matrix
-    T_conv = toeplitz_via_convolution(f, params, conv_cfg).matrix
-    rel = np.linalg.norm(T_direct - T_conv) / np.linalg.norm(T_direct)
-    results.append(("two-pipeline-toeplitz", "gaussian symbol", rel, cfg["tol.pipeline"]))
+        T_direct = toeplitz(params, f).matrix
+        T_conv = toeplitz_via_convolution(f, params, conv_cfg).matrix
+        rel = np.linalg.norm(T_direct - T_conv) / np.linalg.norm(T_direct)
+        results.append(("two-pipeline-toeplitz", "gaussian symbol", rel, cfg["tol.pipeline"]))
 
-    flags = []
-    if window_unstable(heat_gaussian(params.t, params.n), conv_cfg, params.n):
-        flags.append("window-instability: L1 mass moved when the window doubled")
+        if window_unstable(heat_gaussian(params.t, params.n), conv_cfg, params.n):
+            flags.append("window-instability: L1 mass moved when the window doubled")
 
     grid = {"window": conv_cfg.window, "m": conv_cfg.m}
     records = [
@@ -233,19 +254,9 @@ def cmd_approx(cfg, args) -> int:
     params = _build_model(cfg)
     if params.n != 1:
         raise ConfigError("approx fits heat kernels for n = 1 only")
-    A = parse_target(args.target, params)
-    # under `python -m fockqha.cli` every frame down to the module runner is
-    # package code, so a warning names no useful line: report each distinct
-    # one as a flag instead
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", UserWarning)
+    with _warnings_as_flags() as flags:
+        A = parse_target(args.target, params)
         report = toeplitz_approximation(A, [1, 2, 4, 8], target=args.target)
-    flags = []
-    for w in caught:
-        if w.category is not UserWarning:
-            warnings.showwarning(w.message, w.category, w.filename, w.lineno)
-        elif str(w.message) not in flags:
-            flags.append(str(w.message))
     report.to_csv(_outpath(cfg, "approx_report.csv"))
     write_json(
         _outpath(cfg, "approx_report.json"),
@@ -263,60 +274,72 @@ def cmd_sweep(cfg, args) -> int:
     params = _build_model(cfg)
     meta = {"kind": kind, "symbol": symbol}
 
-    if kind == "quantization":
-        f = g = Gaussian(center=0.0, width=4.0, n=params.n)
-        op_recs, sup_recs = quantization_sweep(f, g, [1.0, 0.5, 0.25, 0.125], params)
-        write_sweep_csv(op_recs, _outpath(cfg, "sweep_quantization_op.csv"), ("t", "op_error"))
-        write_sweep_csv(sup_recs, _outpath(cfg, "sweep_quantization_sup.csv"), ("t", "sup_error"))
-        records = op_recs
-    elif kind == "approx-identity":
-        A = toeplitz(params, Gaussian(center=0.0, width=2.0, n=params.n))
-        pairs = approximate_identity_sweep(A, [1.0, 0.5, 0.25, 0.125])
-        records = [SweepRecord(s, e) for s, e in pairs]
-        write_sweep_csv(records, _outpath(cfg, "sweep_approx_identity.csv"), ("s", "op_error"))
-    elif kind == "compactness":
-        A = parse_target(symbol or "rank-one:0", params)
-        radii = np.linspace(0.0, params.trusted_radius, 9)
-        diag = compactness_diagnostic(A, radii)
-        records = diag.records()
-        write_sweep_csv(records, _outpath(cfg, "sweep_compactness.csv"), ("radius", "berezin_max"))
-    elif kind == "invariance":
-        if symbol == "radial":
-            r = np.linspace(0.0, 6.0, 25)
-            f = Radial(radii=r, values=np.exp(-r), n=params.n)
-            meta["negative_control"] = True
-            direction = 1.0
+    with _warnings_as_flags() as flags:
+        if kind == "quantization":
+            f = g = Gaussian(center=0.0, width=4.0, n=params.n)
+            op_recs, sup_recs = quantization_sweep(f, g, [1.0, 0.5, 0.25, 0.125], params)
+            write_sweep_csv(op_recs, _outpath(cfg, "sweep_quantization_op.csv"), ("t", "op_error"))
+            write_sweep_csv(
+                sup_recs, _outpath(cfg, "sweep_quantization_sup.csv"), ("t", "sup_error")
+            )
+            records = op_recs
+        elif kind == "approx-identity":
+            A = toeplitz(params, Gaussian(center=0.0, width=2.0, n=params.n))
+            pairs = approximate_identity_sweep(A, [1.0, 0.5, 0.25, 0.125])
+            records = [SweepRecord(s, e) for s, e in pairs]
+            write_sweep_csv(records, _outpath(cfg, "sweep_approx_identity.csv"), ("s", "op_error"))
+        elif kind == "compactness":
+            A = parse_target(symbol or "rank-one:0", params)
+            radii = np.linspace(0.0, params.trusted_radius, 9)
+            diag = compactness_diagnostic(A, radii)
+            records = diag.records()
+            write_sweep_csv(
+                records, _outpath(cfg, "sweep_compactness.csv"), ("radius", "berezin_max")
+            )
+        elif kind == "invariance":
+            if symbol == "radial":
+                r = np.linspace(0.0, 6.0, 25)
+                f = Radial(radii=r, values=np.exp(-r), n=params.n)
+                meta["negative_control"] = True
+                direction = 1.0
+            else:
+                f = Horizontal(width=1.0, n=params.n)
+                direction = 1j
+            res = invariance_check(f, params, [direction], [0.25, 0.5, 1.0])
+            records = [SweepRecord(1.0, res, meta)]
+            write_sweep_csv(
+                records, _outpath(cfg, "sweep_invariance.csv"), ("direction", "residual")
+            )
+            if meta.get("negative_control"):
+                print(f"negative control residual {res:.3e} (expected large)")
         else:
-            f = Horizontal(width=1.0, n=params.n)
-            direction = 1j
-        res = invariance_check(f, params, [direction], [0.25, 0.5, 1.0])
-        records = [SweepRecord(1.0, res, meta)]
-        write_sweep_csv(records, _outpath(cfg, "sweep_invariance.csv"), ("direction", "residual"))
-        if meta.get("negative_control"):
-            print(f"negative control residual {res:.3e} (expected large)")
-    else:
-        raise ConfigError(f"unknown sweep kind {kind!r}")
+            raise ConfigError(f"unknown sweep kind {kind!r}")
 
-    write_json(
-        _outpath(cfg, f"sweep_{kind}.json"),
-        {
-            "config": cfg,
-            "kind": kind,
-            "metadata": meta,
-            "records": [r.as_dict() for r in records],
-        },
-    )
+        write_json(
+            _outpath(cfg, f"sweep_{kind}.json"),
+            {
+                "config": cfg,
+                "kind": kind,
+                "metadata": meta,
+                "records": [r.as_dict() for r in records],
+            },
+        )
     for r in records:
         print(f"{r.parameter:.6g}\t{r.quantity:.6e}")
+    for fl in flags:
+        print(f"flag  {fl}")
     return 0
 
 
 def cmd_export_operator(cfg, args) -> int:
     params = _build_model(cfg)
-    A = parse_target(args.target, params)
+    with _warnings_as_flags() as flags:
+        A = parse_target(args.target, params)
     path = _outpath(cfg, "operator.json")
     save_operator(A, path, extra={"target": args.target, "config": cfg})
     print(f"wrote {path}")
+    for fl in flags:
+        print(f"flag  {fl}")
     return 0
 
 
@@ -324,9 +347,10 @@ def cmd_export_berezin(cfg, args) -> int:
     params = _build_model(cfg)
     if params.n != 1:
         raise ConfigError("export-berezin writes n = 1 grids only")
-    A = parse_target(args.target, params)
     path = _outpath(cfg, "berezin.csv")
-    berezin(A, m=args.grid_m).to_csv(path)
+    with _warnings_as_flags() as flags:
+        A = parse_target(args.target, params)
+        berezin(A, m=args.grid_m).to_csv(path)
     write_json(
         _outpath(cfg, "berezin.json"),
         {
@@ -337,6 +361,8 @@ def cmd_export_berezin(cfg, args) -> int:
         },
     )
     print(f"wrote {path}")
+    for fl in flags:
+        print(f"flag  {fl}")
     return 0
 
 

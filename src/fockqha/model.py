@@ -139,18 +139,24 @@ def basis_matrix(params: FockParams, points: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=128)
 def _grid_basis(params: FockParams):
-    """Basis values on the Gaussian grid and the weighted conjugate.
+    """The plane factor of the Gaussian grid: one-variable basis values on one plane.
 
-    Returns (E, B) with E[j, i] = e_j(node_i) and B = conj(E) * weights,
-    so that <f e_b, e_a> = (B * f) @ E.T.  Both are cached and shared,
-    so they are read-only.
+    The grid of params is the n-th tensor power of the Q^2-node rule on
+    one complex plane, and e_alpha(z) is the product of e_{alpha_k}(z_k),
+    so every quadrature of basis products factors plane by plane.
+    Returns (e, b), both (D + 1) x Q^2: e[a, i] = e_a(x_i) on the plane's
+    nodes x_i and b = conj(e) * plane weights, so that the plane Gram
+    matrix is b @ e.T.  At n = 1 the plane is the whole grid and
+    <f e_b, e_a> = (b * f) @ e.T.  Both are cached and shared, so they
+    are read-only.
     """
-    grid = params.grid()
-    E = basis_matrix(params, grid.nodes)
-    B = np.conj(E) * grid.weights
-    E.flags.writeable = False
-    B.flags.writeable = False
-    return E, B
+    plane = FockParams(1, params.t, params.D, params.Q)
+    grid = plane.grid()
+    e = basis_matrix(plane, grid.nodes)
+    b = np.conj(e) * grid.weights
+    e.flags.writeable = False
+    b.flags.writeable = False
+    return e, b
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """Weyl operators, Toeplitz operators, Berezin and heat transforms.
 
 Toeplitz matrices, Berezin and heat transforms are Gaussian quadratures
-of their defining integrals on the model grid.  Weyl matrices are not.
+of their defining integrals on the model grid; a Toeplitz quadrature is
+summed one complex plane at a time.  Weyl matrices are not quadratures.
 Their integrand is entire but not polynomial, so Gauss-Hermite order
 Q = D + 2 misses them by 9e-7 to 3e-5 per entry at D = 16-24, |z| <= 2,
 and each matrix cost a dim x Q^{2n} basis evaluation at shifted nodes.
@@ -31,7 +32,8 @@ from .quadrature import gaussian_grid
 from .symbols import GridSymbol, Symbol
 
 # Byte budget of one block of dim x dim complex matrices in the batched
-# conjugations, and of one block of shifted points in the shifted sums.
+# conjugations, of one block of shifted points in the shifted sums, and of
+# one block of weighted rows in the last plane of a Toeplitz quadrature.
 # A block and its few temporaries set the peak memory of a convolution;
 # 1 MiB (about 100 matrices at D = 24) measured both lower peak memory and
 # shorter runs than 4 MiB, and the products stay large enough for BLAS.
@@ -155,10 +157,38 @@ def toeplitz(params: FockParams, f) -> FockOperator:
     f may be a Symbol or any vectorized callable on (P, n) points.
     Real-valued f gives a Hermitian matrix to roundoff; f == c gives
     c * identity.
+
+    The Gaussian-grid sum is contracted one plane at a time (sum
+    factorisation; Orszag, J. Comput. Phys. 37 (1980)), so no
+    dim x Q^{2n} basis matrix is formed.  With f on the grid reshaped to
+    F[i_1, ..., i_n] and the plane factor (e, b) of _grid_basis,
+    M[alpha, beta] = sum over i of F[i] prod_k b[alpha_k, i_k] e[beta_k, i_k].
+    Planes 1 to n - 1 are each one product against the (Q^2, (D+1)^2)
+    factor K[i, (a, b)] = b[a, i] e[b, i]; plane n is (b * G) @ e.T for
+    every row G of what is left, a block of rows at a time; the
+    alpha, beta entries are then gathered.  Plane n keeps the weighted
+    form so that at n = 1 the result is the plain quadrature (b * f) @ e.T
+    bit for bit; a product against K rounds differently.  At n = 2 and 3
+    it agrees with the dense sum over the Q^{2n} nodes to 2e-15 relative.
     """
-    grid = params.grid()
-    E, B = _grid_basis(params)
-    return FockOperator(params, (B * grid.evaluate(f)) @ E.T)
+    e, b = _grid_basis(params)
+    d, m = e.shape
+    G = params.grid().evaluate(f)
+    for _ in range(params.n - 1):
+        # the leading plane is contracted, and its index pair goes last
+        G = G.reshape(m, -1).T @ (b[:, None, :] * e[None, :, :]).reshape(d * d, m).T
+    G = G.reshape(m, -1).T
+    H = np.empty((G.shape[0], d, d), dtype=complex)
+    step = max(1, _CHUNK_BYTES // (16 * d * m))
+    for start in range(0, G.shape[0], step):
+        rows = slice(start, start + step)
+        H[rows] = ((b * G[rows, None, :]).reshape(-1, m) @ e.T).reshape(-1, d, d)
+    # H[a_1, b_1, ..., a_n, b_n]; M[j, k] picks a = alpha_j and b = beta_k per plane
+    idx = np.array(multi_indices(params))
+    H = H.reshape((d, d) * params.n)
+    return FockOperator(
+        params, H[tuple(ix for k in range(params.n) for ix in (idx[:, k, None], idx[None, :, k]))]
+    )
 
 
 def berezin_values(A: FockOperator, points: np.ndarray) -> np.ndarray:

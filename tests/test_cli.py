@@ -79,24 +79,52 @@ def test_verify_flags_tiny_window(tmp_path):
     assert any("window" in f for f in doc["flags"])
 
 
+def run_module(argv):
+    """`python -m fockqha.cli` on argv with this checkout's src/ first on the path."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.getenv("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    cmd = [sys.executable, "-m", "fockqha.cli", *argv]
+    return subprocess.run(cmd, capture_output=True, text=True, env=env)
+
+
+def _flag_lines(stdout):
+    return [line[6:] for line in stdout.splitlines() if line.startswith("flag  ")]
+
+
 def test_approx_reports_warnings_as_flags(tmp_path):
     # under `python -m` every frame below the runner is package code, so the
     # fit-node warnings become flag lines and report entries, not stderr
     # lines naming the module runner
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    path = os.pathsep.join(filter(None, [src, os.getenv("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    cmd = [sys.executable, "-m", "fockqha.cli", "--D", "8", "--Q", "12", "--m", "24"]
-    proc = subprocess.run(
-        cmd + ["--outdir", str(tmp_path), "approx", "weyl:0.5"],
-        capture_output=True, text=True, env=env,
-    )
+    argv = ["--D", "8", "--Q", "12", "--m", "24", "--outdir", str(tmp_path), "approx", "weyl:0.5"]
+    proc = run_module(argv)
     assert proc.returncode == 0, proc.stderr
     assert "runpy" not in proc.stderr
     flags = json.loads((tmp_path / "approx_report.json").read_text())["flags"]
     assert flags and all("outside the trusted Berezin window" in f for f in flags)
     assert len(set(flags)) == len(flags)
-    assert [line[6:] for line in proc.stdout.splitlines() if line.startswith("flag  ")] == flags
+    assert _flag_lines(proc.stdout) == flags
+
+
+def test_verify_reports_warnings_as_flags(tmp_path):
+    # D = 2 truncates the coherent state at 0.3 by more than the threshold;
+    # the tolerances fail too, so the exit status is 1
+    proc = run_module(["--D", "2", "--Q", "4", "--m", "8", "--outdir", str(tmp_path), "verify"])
+    assert proc.returncode in (0, 1), proc.stderr
+    assert "runpy" not in proc.stderr and "Warning" not in proc.stderr
+    flags = json.loads((tmp_path / "verify_report.json").read_text())["flags"]
+    assert any(f.startswith("kernel truncation defect") for f in flags)
+    assert _flag_lines(proc.stdout) == flags
+
+
+def test_sweep_reports_warnings_as_flags(tmp_path):
+    argv = ["--D", "4", "--Q", "6", "--outdir", str(tmp_path),
+            "sweep", "compactness", "--symbol", "rank-one:3"]
+    proc = run_module(argv)
+    assert proc.returncode == 0, proc.stderr
+    assert "runpy" not in proc.stderr and "Warning" not in proc.stderr
+    flags = _flag_lines(proc.stdout)
+    assert len(flags) == 1 and flags[0].startswith("kernel truncation defect")
 
 
 def test_malformed_approx_target(capsys):

@@ -17,8 +17,14 @@ P2 = FockParams(2, 1.0, 4, 6)
 
 
 def test_orthonormality_n2():
-    E, B = M._grid_basis(P2)
-    assert np.max(np.abs(B @ E.T - np.eye(P2.dim))) < 1e-12
+    # the grid is a product of planes, so the n = 2 Gram matrix is the
+    # product of plane Gram entries at the multi-indices' components
+    e, b = M._grid_basis(P2)
+    plane = b @ e.T
+    assert np.max(np.abs(plane - np.eye(P2.D + 1))) < 1e-12
+    idx = np.array(M.multi_indices(P2))
+    gram = plane[idx[:, 0, None], idx[None, :, 0]] * plane[idx[:, 1, None], idx[None, :, 1]]
+    assert np.max(np.abs(gram - np.eye(P2.dim))) < 1e-12
 
 
 def test_toeplitz_of_one_n2():

@@ -5,6 +5,8 @@ their defining integral, which shares no code with the Laguerre
 recurrence that computes them.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -32,7 +34,15 @@ from fockqha.operators import (
     weyl_matrices,
 )
 from fockqha.quadrature import gaussian_grid
-from fockqha.symbols import Constant, Gaussian, GridSymbol, Polynomial, Radial, heat_gaussian
+from fockqha.symbols import (
+    Constant,
+    Gaussian,
+    GridSymbol,
+    PlaneWave,
+    Polynomial,
+    Radial,
+    heat_gaussian,
+)
 
 P = FockParams(1, 1.0, 16, 20)
 
@@ -53,6 +63,22 @@ def weyl_by_quadrature(params, z, Q=160, block=1 << 16):
         k = np.exp(nodes @ np.conj(z) / params.t - np.sum(np.abs(z) ** 2) / (2 * params.t))
         W += (B * k) @ basis_matrix(params, nodes - z).T
     return W
+
+
+def dense_toeplitz(params, f, block=1 << 13):
+    """The Gaussian-grid quadrature over every node: (conj(E) * w * f) @ E.T.
+
+    E is the full dim x Q^{2n} basis matrix on the model grid, taken a
+    block of nodes at a time to bound memory; a grid of at most one
+    block (every n = 1 grid here) is summed in one product.
+    """
+    grid = params.grid()
+    T = 0
+    for start in range(0, grid.size, block):
+        nodes, w = grid.nodes[start : start + block], grid.weights[start : start + block]
+        E = basis_matrix(params, nodes)
+        T = T + (np.conj(E) * w * f(nodes)) @ E.T
+    return T
 
 
 def test_weyl_at_origin_is_identity():
@@ -189,6 +215,54 @@ def test_toeplitz_radial_symbol_is_diagonal():
 def test_toeplitz_hermitian_for_real_symbol():
     T = toeplitz(P, Gaussian(center=0.4, width=1.5))
     assert np.max(np.abs(T.matrix - T.matrix.conj().T)) < 1e-12
+
+
+def test_toeplitz_n1_is_the_dense_quadrature():
+    # at n = 1 the plane-by-plane contraction is the dense sum, bit for bit
+    for p in (P, FockParams(1, 0.7, 8, 10), FockParams(1, 1.0, 40, 42)):
+        for f in (Gaussian(center=0.4 - 0.2j, width=1.5), PlaneWave(zeta=0.7 + 0.2j)):
+            assert np.array_equal(toeplitz(p, f).matrix, dense_toeplitz(p, f))
+
+
+def _non_separable_symbols(n):
+    r = np.linspace(0.0, 8.0, 400)
+    return [
+        Gaussian(center=np.linspace(0.4, -0.3j, n), width=1.5, n=n),
+        PlaneWave(zeta=np.arange(1, n + 1) * (0.4 + 0.3j), n=n),
+        Radial(radii=r, values=np.exp(-r) * np.cos(r), n=n),
+    ]
+
+
+@pytest.mark.parametrize(
+    "params", [FockParams(2, 1.0, 6, 8), FockParams(2, 1.0, 14, 16), FockParams(3, 1.0, 5, 7)]
+)
+def test_toeplitz_matches_dense_quadrature(params):
+    # non-separable, non-polynomial symbols; 2.1e-15 is the largest deviation measured
+    for f in _non_separable_symbols(params.n):
+        want = dense_toeplitz(params, f)
+        dev = np.max(np.abs(toeplitz(params, f).matrix - want)) / np.max(np.abs(want))
+        assert dev <= 1e-13, (params, f, dev)
+
+
+def test_toeplitz_builds_no_grid_sized_basis():
+    # the dense sum held a 126 MB basis matrix and peaked at 361 MB here
+    p = FockParams(2, 1.0, 14, 16)
+    f = Gaussian(center=np.zeros(2, dtype=complex), width=2.0, n=2)
+    toeplitz(p, f)  # builds the grid and the plane factor
+    tracemalloc.start()
+    try:
+        toeplitz(p, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak
+
+
+def test_toeplitz_of_one_n3():
+    # the dense sum would need about 1 GB of basis matrix here
+    p = FockParams(3, 1.0, 6, 8)
+    T = toeplitz(p, Constant(1.0, n=3))
+    assert np.max(np.abs(T.matrix - np.eye(p.dim))) < 1e-12
 
 
 def test_toeplitz_rejects_nonfinite_symbol():
