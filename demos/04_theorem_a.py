@@ -15,7 +15,6 @@ from fockqha.model import FockParams
 from fockqha.operators import toeplitz, weyl
 from fockqha.symbols import Gaussian
 
-warnings.simplefilter("ignore")
 params = FockParams(n=1, t=1.0, D=24, Q=26)
 
 # the Wiener step: L1 fit quality of the narrow heat kernel
@@ -29,7 +28,9 @@ for name, A in [
     ("T_f, f a Gaussian bump", toeplitz(params, Gaussian(center=0.3, width=2.0))),
     ("W_{0.5}, a Weyl operator", weyl(params, 0.5)),
 ]:
-    report = toeplitz_approximation(A, [1, 2, 4, 8], target=name)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = toeplitz_approximation(A, [1, 2, 4, 8], target=name)
     print(f"\ntarget {name}:")
     print("    N   l1_residual   op_error   baseline")
     for st in report.stages:
@@ -37,3 +38,5 @@ for name, A in [
             f"  {st.N:3d}   {st.fit.l1_residual:11.4e}  {st.op_error:9.3e}  {st.baseline_error:9.3e}"
         )
     print(f"  domination inequality holds: {report.domination_holds()}")
+    for w in caught:
+        print(f"  flag  {w.message}")

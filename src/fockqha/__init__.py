@@ -27,7 +27,6 @@ from .approximation import (
 from .convolution import (
     ConvolutionConfig,
     adjoint_duality_residuals,
-    conv_fun_fun,
     conv_fun_op,
     conv_op_op,
     default_config,
@@ -71,7 +70,7 @@ from .operators import (
     weyl,
     weyl_matrices,
 )
-from .quadrature import GaussGrid, default_window, gaussian_grid, lebesgue_grid
+from .quadrature import GaussGrid, gaussian_grid, lebesgue_grid
 from .serialize import load_operator, save_operator
 from .symbols import (
     Constant,

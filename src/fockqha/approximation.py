@@ -30,7 +30,7 @@ import numpy as np
 import scipy.linalg
 
 from ._output import params_dict, write_csv, write_json
-from .convolution import ConvolutionConfig, conv_fun_op
+from .convolution import conv_fun_op, default_config
 from .model import FockOperator, FockParams, _warn, operator_norm_2, trusted_norm
 from .operators import _CHUNK_BYTES, BerezinSymbol, toeplitz
 from .quadrature import _legendre_rule
@@ -248,14 +248,13 @@ def approximate_identity_sweep(A: FockOperator, s_list):
     For operators in the trusted (Toeplitz-built) class the errors
     decrease as s -> 0.  The errors are spectral norms of the trusted
     sub-block (degrees <= D/2): conjugation by truncated Weyl matrices is
-    not exact at the top degrees.
+    not exact at the top degrees.  Each f_s * A is the exact rule of order
+    2D + 1, centred and scaled for f_s.
     """
     params = A.params
+    cfg = default_config(params)
     out = []
     for s in s_list:
-        # dV window adapted to the width of f_s: narrow kernels need a
-        # tight, well-resolved window
-        s_cfg = ConvolutionConfig(window=6.0 * np.sqrt(s), m=48)
-        diff = conv_fun_op(heat_gaussian(s, params.n), A, s_cfg) - A
+        diff = conv_fun_op(heat_gaussian(s, params.n), A, cfg) - A
         out.append((float(s), trusted_norm(diff)))
     return out

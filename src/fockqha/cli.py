@@ -3,7 +3,7 @@
 Every setting is one entry of ``SETTINGS``: its default, its type, and
 the flag and help text of the keys that have a flag.  A value comes from
 the default, then an optional flat key=value file with dotted section
-names (model.D=24, conv.m=64, ...), then the flag; the ``tol.*`` keys are
+names (model.D=24, run.seed=3, ...), then the flag; the ``tol.*`` keys are
 set from a file only.  ``--print-config`` dumps the fully resolved form.
 Each subcommand binds its handler ``cmd_*(cfg, args)`` in
 ``build_parser``.  Exit codes: 0 success, 1 tolerance failure, 2 usage or
@@ -12,7 +12,8 @@ configuration error.
 Determinism: the seed fixes every randomized choice, and importing
 ``fockqha`` defaults the BLAS thread-count variables to 1 before numpy
 loads.  ``--threads`` is accepted and ignored, so it never changes any
-output byte.
+output byte.  So is ``--m``: every convolution uses the exact
+Gauss-Hermite rule of order 2D + 1.
 """
 
 from __future__ import annotations
@@ -29,11 +30,10 @@ import numpy as np
 from ._output import write_json
 from .approximation import approximate_identity_sweep, toeplitz_approximation
 from .convolution import (
-    ConvolutionConfig,
     adjoint_duality_residuals,
+    default_config,
     toeplitz_via_convolution,
     trace_identity_residual,
-    window_unstable,
 )
 from .experiments import (
     SweepRecord,
@@ -52,9 +52,8 @@ from .model import (
     trusted_norm,
 )
 from .operators import berezin, toeplitz, weyl
-from .quadrature import default_window
 from .serialize import save_operator
-from .symbols import Constant, Gaussian, Horizontal, Radial, heat_gaussian
+from .symbols import Constant, Gaussian, Horizontal, Radial
 
 # key: (default, type, flag, help); the tol.* keys have no flag
 SETTINGS = {
@@ -62,15 +61,12 @@ SETTINGS = {
     "model.t": (1.0, float, "--t", "Gaussian weight parameter"),
     "model.D": (16, int, "--D", "total-degree cutoff"),
     "model.Q": (20, int, "--Q", "quadrature order per axis"),
-    # None -> default_window(t, D)
-    "conv.window": (None, float, "--window", "convolution dV window half-width"),
-    "conv.m": (48, int, "--m", "convolution grid points per axis"),
     "run.seed": (0, int, "--seed", "seed for all randomized choices"),
     "run.outdir": (".", str, "--outdir", "output directory"),
     "tol.identity": (1e-10, float, None, None),
     "tol.weyl": (1e-6, float, None, None),
-    "tol.trace": (1e-4, float, None, None),
-    "tol.duality": (1e-4, float, None, None),
+    "tol.trace": (1e-12, float, None, None),
+    "tol.duality": (1e-12, float, None, None),
     "tol.pipeline": (1e-4, float, None, None),
 }
 
@@ -120,13 +116,6 @@ def _build_model(cfg):
         return FockParams(cfg["model.n"], cfg["model.t"], cfg["model.D"], cfg["model.Q"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def _conv_config(cfg, params):
-    W = cfg["conv.window"]
-    if W is None:
-        W = default_window(params.t, params.D)
-    return ConvolutionConfig(float(W), cfg["conv.m"])
 
 
 def _outpath(cfg, name) -> Path:
@@ -184,7 +173,7 @@ def parse_target(spec: str, params):
 def cmd_verify(cfg, args) -> int:
     """Run the identity suites; exit 0 iff every residual passes."""
     params = _build_model(cfg)
-    conv_cfg = _conv_config(cfg, params)
+    conv_cfg = default_config(params)
     with _warnings_as_flags() as flags:
         rng = np.random.default_rng(cfg["run.seed"])
         results = []  # (identity, operands, residual, tolerance)
@@ -227,12 +216,8 @@ def cmd_verify(cfg, args) -> int:
         rel = np.linalg.norm(T_direct - T_conv) / np.linalg.norm(T_direct)
         results.append(("two-pipeline-toeplitz", "gaussian symbol", rel, cfg["tol.pipeline"]))
 
-        if window_unstable(heat_gaussian(params.t, params.n), conv_cfg, params.n):
-            flags.append("window-instability: L1 mass moved when the window doubled")
-
-    grid = {"window": conv_cfg.window, "m": conv_cfg.m}
     records = [
-        {"identity": name, "operands": ops, "residual": float(r), "cfg": {"tolerance": tol, **grid}}
+        {"identity": name, "operands": ops, "residual": float(r), "cfg": {"tolerance": tol}}
         for name, ops, r, tol in results
     ]
     failing = [name for name, _, r, tol in results if not r <= tol]
@@ -380,6 +365,9 @@ def build_parser() -> argparse.ArgumentParser:
         if flag:
             parser.add_argument(flag, dest=key, metavar=flag[2:].upper(), type=cast, help=help_text)
     parser.add_argument("--threads", type=int, default=1, help="accepted and ignored")
+    parser.add_argument(
+        "--m", type=int, help="accepted and ignored: convolutions use the exact order 2D + 1"
+    )
 
     # the handlers are looked up when the parser is built, so a wrapper
     # rebound onto this module (a tracer, say) is the one that runs

@@ -1,13 +1,21 @@
 """Werner-style convolutions between functions and operators.
 
-Realized numerically on a windowed Lebesgue grid:
-
 * f * A  : operator-valued quadrature of f(z) alpha_z(A) dV(z)
 * A * B  : the function z -> Tr(A alpha_z(U B U)), evaluated lazily
-* f * g  : ordinary convolution by quadrature
 
 together with the trace identity Tr(A * B) = (pi t)^n Tr(A) Tr(B)
 and the adjoint duality relations, exposed as residual computations.
+
+Every dV integral is one Gauss-Hermite rule, and in the truncated model
+that rule is exact.  An entry of alpha_z(A) = W_z A W_z^* is a polynomial
+of degree <= 4D in (z, conj z) times exp(-|z|^2 / t), by the Laguerre
+form of the Weyl matrices; so is (A * B)(z).  Against a Gaussian kernel
+f = a exp(-|z - c|^2 / w), completing the square leaves the same
+polynomial times exp(-|z - mu|^2 / tau) with 1/tau = 1/t + 1/w and
+mu = (tau / w) c, and hermite_dv_grid at that centre and width, of order
+2D + 1 per real axis, integrates it exactly.  Any other f, and the
+trace-identity integrand, use mu = 0 and tau = t; the rule is then exact
+for polynomial f of low degree and spectrally accurate for smooth f.
 """
 
 from __future__ import annotations
@@ -20,48 +28,41 @@ from .model import (
     FockOperator,
     FockParams,
     _check_params,
-    operator_norm_2,
     parity_matrix,
     pc_operator,
 )
-from .operators import _conjugations, _shifted_sums
-from .quadrature import default_window, lebesgue_grid
-from .symbols import Parity, Symbol
+from .operators import _conjugations
+from .quadrature import GaussGrid, hermite_dv_grid
+from .symbols import Gaussian, Symbol
 
 
 @dataclass(frozen=True)
 class ConvolutionConfig:
-    """Shared dV-grid settings for all convolution integrals."""
+    """The Gauss-Hermite order per real axis of every convolution's dV rule."""
 
-    window: float
-    m: int = 40
+    m: int
 
     def __post_init__(self):
-        if self.window <= 0 or self.m < 2:
-            raise ValueError("window must be positive and m >= 2")
-
-    def grid(self, n: int):
-        return lebesgue_grid(self.window, self.m, n)
-
-    def doubled(self) -> "ConvolutionConfig":
-        return ConvolutionConfig(2.0 * self.window, 2 * self.m)
+        if self.m < 1:
+            raise ValueError("m must be >= 1")
 
 
-def default_config(params: FockParams, m: int = 64) -> ConvolutionConfig:
-    return ConvolutionConfig(default_window(params.t, params.D), m)
+def default_config(params: FockParams) -> ConvolutionConfig:
+    """Order 2D + 1, exact for every integrand of the module docstring."""
+    return ConvolutionConfig(2 * params.D + 1)
 
 
-def l1_window_norm(f, cfg: ConvolutionConfig, n: int = 1) -> float:
-    """||f||_{L^1} restricted to the configured window."""
-    grid = cfg.grid(n)
-    return float(np.sum(grid.weights * np.abs(np.asarray(f(grid.nodes)))))
+def _dv_grid(params: FockParams, cfg: ConvolutionConfig, f=None) -> GaussGrid:
+    """The dV rule for f(z) times a polynomial times exp(-|z|^2 / t).
 
-
-def window_unstable(f, cfg: ConvolutionConfig, n: int = 1, tol: float = 1e-6) -> bool:
-    """Integrability check: does the L^1 mass move when the window doubles?"""
-    a = l1_window_norm(f, cfg, n)
-    b = l1_window_norm(f, cfg.doubled(), n)
-    return abs(a - b) > tol * (1.0 + abs(b))
+    Centre and width come from completing the square against f when f is
+    a Gaussian; otherwise the rule is centred at 0 with width t.
+    """
+    t = params.t
+    if isinstance(f, Gaussian):
+        tau = t * f.width / (t + f.width)
+        return hermite_dv_grid(params.n, tau, cfg.m, (tau / f.width) * np.asarray(f.center))
+    return hermite_dv_grid(params.n, t, cfg.m)
 
 
 def r_t_operator(params: FockParams) -> FockOperator:
@@ -80,12 +81,13 @@ def conv_fun_op(f, A: FockOperator, cfg: ConvolutionConfig) -> FockOperator:
 
     The sum of c_i W_i A W_i^* over the nodes with nonzero weight
     c_i = w_i f(z_i) is one (dim x B dim) by (B dim x dim) product per
-    block of B nodes.  Satisfies ||f * A|| <= ||f||_{L^1} ||A|| up to
-    truncation.  The blocks and the summation order are fixed by the
-    grid, so results are reproducible bit-for-bit.
+    block of B nodes, on the rule of _dv_grid.  Satisfies
+    ||f * A|| <= ||f||_{L^1} ||A|| up to truncation.  The blocks and the
+    summation order are fixed by the grid, so results are reproducible
+    bit-for-bit.
     """
     params = A.params
-    grid = cfg.grid(params.n)
+    grid = _dv_grid(params, cfg, f)
     c = grid.weights * grid.evaluate(f)
     keep = np.flatnonzero(c)
     c = c[keep]
@@ -127,25 +129,6 @@ def conv_op_op(A: FockOperator, B: FockOperator) -> OperatorConvolution:
     return OperatorConvolution(A, B)
 
 
-class FunctionConvolution(Symbol):
-    """f * g(z) = integral f(w) g(z - w) dV(w), by windowed quadrature."""
-
-    def __init__(self, f, g, cfg: ConvolutionConfig, n: int = 1):
-        self.f = f
-        self.g = g
-        self.cfg = cfg
-        self.n = n
-
-    def eval(self, points):
-        grid = self.cfg.grid(self.n)
-        fvals = np.asarray(self.f(grid.nodes))
-        return _shifted_sums(self.g, points, -grid.nodes, grid.weights * fvals)
-
-
-def conv_fun_fun(f, g, cfg: ConvolutionConfig, n: int = 1) -> FunctionConvolution:
-    return FunctionConvolution(f, g, cfg, n=n)
-
-
 def toeplitz_via_convolution(
     f, params: FockParams, cfg: ConvolutionConfig
 ) -> FockOperator:
@@ -167,7 +150,7 @@ def trace_identity_residual(
 ) -> float:
     """Residual of Tr(A * B) = (pi t)^n Tr(A) Tr(B), normalized."""
     params = A.params
-    grid = cfg.grid(params.n)
+    grid = _dv_grid(params, cfg)
     conv = conv_op_op(A, B)
     integral = np.sum(grid.weights * conv.eval(grid.nodes))
     target = (np.pi * params.t) ** params.n * A.trace * B.trace
@@ -187,10 +170,12 @@ def adjoint_duality_residuals(
     2. <f * A2, B>_tr = <A2, (U f) * B>_tr
     3. <A1 * A2, f>_tr = <A1, f * (U A2 U)>_tr
 
-    where <g, h>_tr integrates g h over the window and <A, B>_tr = Tr(AB).
+    where <g, h>_tr integrates g h against dV and <A, B>_tr = Tr(AB).
+    U f is f.flipped(), a Gaussian again when f is one, so every integral
+    is on its exact rule.
     """
     params = A1.params
-    grid = cfg.grid(params.n)
+    grid = _dv_grid(params, cfg, f)
     fvals = np.asarray(f(grid.nodes))
 
     def tr(X: FockOperator, Y: FockOperator) -> complex:
@@ -201,7 +186,7 @@ def adjoint_duality_residuals(
     r1 = _normalized(lhs1 - rhs1, rhs1)
 
     lhs2 = tr(conv_fun_op(f, A2, cfg), B)
-    rhs2 = tr(A2, conv_fun_op(Parity(f), B, cfg))
+    rhs2 = tr(A2, conv_fun_op(f.flipped(), B, cfg))
     r2 = _normalized(lhs2 - rhs2, rhs2)
 
     lhs3 = np.sum(grid.weights * fvals * conv_op_op(A1, A2).eval(grid.nodes))
@@ -209,11 +194,3 @@ def adjoint_duality_residuals(
     r3 = _normalized(lhs3 - rhs3, rhs3)
 
     return r1, r2, r3
-
-
-def young_ratio(f, A: FockOperator, cfg: ConvolutionConfig) -> float:
-    """Empirical ratio ||f * A||_op / (||f||_{L^1(window)} ||A||_op)."""
-    denom = l1_window_norm(f, cfg, A.params.n) * operator_norm_2(A)
-    if denom == 0.0:
-        return 0.0
-    return operator_norm_2(conv_fun_op(f, A, cfg)) / denom

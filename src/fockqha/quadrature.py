@@ -1,14 +1,19 @@
 """Quadrature on C^n ~ R^{2n}.
 
-Two families of grids are provided:
+Three families of grids are provided:
 
 * Gaussian grids for the probability measure
   dmu_t(z) = (pi t)^{-n} exp(-|z|^2 / t) dV(z),
   built from tensorized Gauss-Hermite rules.  Polynomials in
   (z, conj z) of total degree <= 2Q - 1 are integrated exactly.
+* Gauss-Hermite rules for dV itself, centred at mu with width tau:
+  the nodes of the mu_tau grid shifted by mu, with the Gaussian weight
+  divided out.  They integrate P(z) exp(-|z - mu|^2 / tau) exactly when
+  P has degree <= 2Q - 1 in each real coordinate; every convolution
+  integral of the truncated model has that form.
 * Windowed Lebesgue grids for dV restricted to [-W, W]^{2n},
-  built from tensorized Gauss-Legendre rules (spectral accuracy
-  for the smooth Gaussian-type integrands used throughout).
+  built from tensorized Gauss-Legendre rules; the heat-kernel fit
+  tensors their 1-d rule.
 
 All grids are immutable and all integration is a plain deterministic
 weighted sum, so results are reproducible bit-for-bit.
@@ -96,6 +101,22 @@ def gaussian_grid(n: int, t: float, Q: int) -> GaussGrid:
     return GaussGrid(z, wt, measure=f"gaussian(t={t})")
 
 
+def hermite_dv_grid(n: int, tau: float, Q: int, center=0.0) -> GaussGrid:
+    """Gauss-Hermite rule for dV centred at `center` with width tau.
+
+    Nodes center + u_i, with u_i the nodes of gaussian_grid(n, tau, Q);
+    weights (pi tau)^n w_i exp(|u_i|^2 / tau).  The 1-d factors
+    sqrt(tau) w_k exp(x_k^2) are formed before tensoring, so no weight
+    underflows or overflows while Q stays below about 300.
+    """
+    if Q < 1:
+        raise ValueError("Q must be >= 1")
+    x, w = np.polynomial.hermite.hermgauss(Q)
+    z, wt = _tensorize(np.sqrt(tau) * x, np.sqrt(tau) * w * np.exp(x**2), n)
+    center = np.broadcast_to(np.asarray(center, dtype=complex), (n,))
+    return GaussGrid(z + center, wt, measure=f"hermite-dV(tau={tau}, Q={Q})")
+
+
 def _legendre_rule(W: float, m: int):
     """The 1-d Gauss-Legendre rule on [-W, W] that lebesgue_grid tensors."""
     if m < 2:
@@ -111,11 +132,6 @@ def lebesgue_grid(W: float, m: int, n: int) -> GaussGrid:
     """Tensor Gauss-Legendre grid for dV on the window [-W, W]^{2n}."""
     z, wt = _tensorize(*_legendre_rule(W, m), n)
     return GaussGrid(z, wt, measure=f"lebesgue(W={W}, m={m})")
-
-
-def default_window(t: float, D: int) -> float:
-    """Window covering the reliable Fock region plus Gaussian tails."""
-    return float(np.sqrt(t * (D + 4)) + 3.0 * np.sqrt(t))
 
 
 def integrate(grid: GaussGrid, f) -> complex:

@@ -9,7 +9,7 @@ interpolation.  Evaluation is deterministic everywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -84,6 +84,13 @@ class Gaussian(Symbol):
         c = np.atleast_1d(np.asarray(self.center, dtype=complex))
         d = points - c[None, :]
         return self.amplitude * np.exp(-np.sum(np.abs(d) ** 2, axis=1) / self.width)
+
+    # a Gaussian stays a Gaussian, so convolutions keep their exact rule
+    def translated(self, z0) -> "Gaussian":
+        return replace(self, center=np.asarray(self.center, dtype=complex) + np.asarray(z0))
+
+    def flipped(self) -> "Gaussian":
+        return replace(self, center=-np.asarray(self.center, dtype=complex))
 
 
 def heat_gaussian(s: float, n: int = 1) -> Gaussian:

@@ -122,7 +122,7 @@ def test_criterion_04_convolution_identities():
     C1, C2 = rank_one(k1, k1), rank_one(k2, k2)
     pts = np.array([0.0, 0.5, 0.3 - 0.6j, 1.0, -0.8j])[:, None]
     comm = np.max(np.abs(conv_op_op(C1, C2).eval(pts) - conv_op_op(C2, C1).eval(pts)))
-    ok = worst_trace <= 1e-4 and max(rs) <= 1e-4 and comm <= 1e-6
+    ok = worst_trace <= 1e-12 and max(rs) <= 1e-12 and comm <= 1e-6
     _report(4, "trace identity, dualities, commutativity", ok)
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from fockqha.cli import main, parse_config_file, resolve_config, build_parser, ConfigError
+from fockqha.cli import SETTINGS, main, parse_config_file, resolve_config, build_parser, ConfigError
 
 
 def run_cli(args):
@@ -63,20 +63,27 @@ def test_verify_passes_on_default_model(tmp_path, capsys):
     assert doc["config"]["model.D"] == 16  # resolved config embedded
     for record in doc["records"]:
         assert set(record) == {"identity", "operands", "residual", "cfg"}
-        assert set(record["cfg"]) == {"tolerance", "window", "m"}
+        assert set(record["cfg"]) == {"tolerance"}
 
 
 def test_verify_rejects_invalid_model(capsys):
     assert run_cli(["--D", "12", "--Q", "4", "verify"]) == 2
 
 
-def test_verify_flags_tiny_window(tmp_path):
-    code = run_cli(
-        ["--D", "16", "--Q", "20", "--window", "1.0", "--m", "24", "--outdir", str(tmp_path), "verify"]
-    )
-    doc = json.loads((tmp_path / "verify_report.json").read_text())
-    assert code == 1
-    assert any("window" in f for f in doc["flags"])
+def test_m_flag_is_ignored_and_conv_keys_are_rejected(tmp_path, capsys):
+    # every convolution uses the exact order 2D + 1, so --m changes no byte
+    # and the retired conv.* keys are unknown
+    base = ["--D", "16", "--Q", "20", "--outdir", str(tmp_path)]
+    assert run_cli(base + ["verify"]) == 0
+    a = (tmp_path / "verify_report.json").read_bytes()
+    assert run_cli(base + ["--m", "5", "verify"]) == 0
+    assert (tmp_path / "verify_report.json").read_bytes() == a
+    assert len(SETTINGS) == 11 and not any(key.startswith("conv.") for key in SETTINGS)
+    for key in ("conv.m=48", "conv.window=6.0"):
+        path = tmp_path / "run.cfg"
+        path.write_text(key + "\n")
+        assert run_cli(["--config", str(path), "verify"]) == 2
+        assert "unknown config key" in capsys.readouterr().err
 
 
 def run_module(argv):
@@ -203,8 +210,9 @@ def test_every_output_follows_the_writer_contract(tmp_path, capsys):
     for command, expected in WRITTEN.items():
         outdir = tmp_path / "-".join(command[:2])
         argv = ["--D", "6", "--Q", "8", "--m", "16", "--outdir", str(outdir), *command]
+        # every command turns the package's warnings into flags, so none escapes
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+            warnings.simplefilter("error")
             code = run_cli(argv)
         # verify may fail its tolerances at this size; it still writes its report
         assert code in ((0, 1) if command == ("verify",) else (0,)), command

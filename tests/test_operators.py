@@ -114,6 +114,48 @@ def test_weyl_quadrature_matches_closed_form():
                 assert err < 1e-13, (D, z, err)
 
 
+def weyl_by_mpmath(z, t, D):
+    """<W_z e_b, e_a> from the Laguerre form, summed term by term in mpmath.
+
+    With alpha = conj(z)/sqrt(t), x = |alpha|^2, lo = min(a, b) and
+    k = |a - b| the element is sqrt(lo!/(lo+k)!) u e^{-x/2} L_lo^k(x),
+    u = alpha^k for a >= b and (-conj alpha)^k for a < b, and
+    L_lo^k(x) = sum_j (-1)^j (lo+k)! / ((lo-j)! (k+j)!) x^j / j!.  The
+    precision covers the cancellation in L, whose terms reach about
+    2^(2D) e^x.
+    """
+    import mpmath as mp
+
+    with mp.workdps(30 + int(0.61 * D + 0.44 * abs(z) ** 2 / t)):
+        alpha = mp.conj(mp.mpc(complex(z))) / mp.sqrt(t)
+        x = abs(alpha) ** 2
+        fact = [mp.factorial(i) for i in range(2 * D + 1)]
+        xpow = [(-x) ** j / fact[j] for j in range(D + 1)]
+        out = np.empty((D + 1, D + 1), dtype=complex)
+        for lo in range(D + 1):
+            for k in range(D + 1 - lo):
+                lag = mp.fsum(xpow[j] / (fact[lo - j] * fact[k + j]) for j in range(lo + 1))
+                g = mp.sqrt(fact[lo] * fact[lo + k]) * mp.exp(-x / 2) * lag
+                out[lo + k, lo] = complex(g * alpha**k)
+                out[lo, lo + k] = complex(g * (-mp.conj(alpha)) ** k)
+        return out
+
+
+def test_weyl_matches_mpmath_where_exact_rules_reach():
+    # the exact convolution rule of order 2D + 1 at width t puts nodes at
+    # |z| up to 12.8 at D = 24 and 16.9 at D = 40
+    for D in (24, 40):
+        p = FockParams(1, 1.0, D, D + 2)
+        for r in (13.0, 17.0):
+            z = r * np.exp(0.7j)
+            want = weyl_by_mpmath(z, p.t, D)
+            diff = np.abs(weyl(p, z).matrix - want)
+            assert np.max(diff) < 1e-13, (D, r, np.max(diff))
+            # the entries fall to 1e-280 there; each keeps its leading digits
+            normal = np.abs(want) > 1e-290
+            assert np.max(diff[normal] / np.abs(want[normal])) < 1e-12, (D, r)
+
+
 def test_weyl_matches_quadrature_n2():
     # n = 2 needs Q^4 nodes, so the oracle runs at Q = 24 (error 7e-16 here)
     p = FockParams(2, 1.0, 6, 8)

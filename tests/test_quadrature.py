@@ -1,11 +1,13 @@
-"""Quadrature oracles: Gaussian moments, Lebesgue windows, error paths."""
+"""Quadrature oracles: Gaussian moments, dV rules, Lebesgue windows, error paths."""
+
+import math
 
 import numpy as np
 import pytest
 
 from fockqha.quadrature import (
-    default_window,
     gaussian_grid,
+    hermite_dv_grid,
     integrate,
     lebesgue_grid,
 )
@@ -104,8 +106,26 @@ def test_grid_csv_export(tmp_path):
     assert len(lines) == grid.size + 1  # header + one row per node
 
 
-def test_default_window_formula():
-    assert abs(default_window(1.0, 12) - (np.sqrt(16.0) + 3.0)) < 1e-12
+def test_hermite_dv_grid_is_exact_for_shifted_gaussian_moments():
+    # integral of |z - mu|^{2k} e^{-|z - mu|^2 / tau} dV over C is pi k! tau^{k+1}
+    mu, tau, Q = 0.4 - 0.3j, 0.6, 9
+    grid = hermite_dv_grid(1, tau, Q, mu)
+    for k in range(Q):
+        got = integrate(grid, lambda z: np.abs(z[:, 0] - mu) ** (2 * k) * np.exp(-np.abs(z[:, 0] - mu) ** 2 / tau))
+        want = np.pi * math.factorial(k) * tau ** (k + 1)
+        assert abs(got - want) < 1e-13 * want, k
+    # same nodes as the mu_tau grid, shifted; at n = 2 the mass is (pi tau)^2
+    assert np.array_equal(hermite_dv_grid(2, tau, 4).nodes, gaussian_grid(2, tau, 4).nodes)
+    g2 = hermite_dv_grid(2, tau, 6, [0.1, -0.2j])
+    got = integrate(g2, lambda z: np.exp(-np.sum(np.abs(z - [0.1, -0.2j]) ** 2, axis=1) / tau))
+    assert abs(got - (np.pi * tau) ** 2) < 1e-13
+
+
+def test_hermite_dv_weights_stay_finite_at_high_order():
+    grid = hermite_dv_grid(1, 1.0, 281)
+    assert np.all(np.isfinite(grid.weights)) and np.all(grid.weights > 0)
+    got = integrate(grid, lambda z: np.exp(-np.abs(z[:, 0]) ** 2))
+    assert abs(got - np.pi) < 1e-12
 
 
 def test_invalid_grid_arguments():

@@ -78,6 +78,18 @@ def test_translate_and_parity_semantics():
     assert f.flipped()(2.0)[0] == pytest.approx(-2.0)
 
 
+def test_gaussian_translate_and_flip_stay_gaussian():
+    pts = np.array([[0.0, 0.3j], [1.0 - 0.5j, -0.2], [0.4j, 0.7 + 0.1j]])
+    g = Gaussian(center=[0.2, -0.1j], width=1.5, amplitude=2.0, n=2)
+    for got, want in [
+        (g.translated([0.5, 0.25j]), Translate(g, [0.5, 0.25j])),
+        (g.flipped(), Parity(g)),
+    ]:
+        assert isinstance(got, Gaussian) and got.width == g.width and got.amplitude == g.amplitude
+        assert np.max(np.abs(got(pts) - want(pts))) < 1e-15
+    assert Gaussian(center=0.3).flipped().translated(0.1)(0.0)[0] == pytest.approx(np.exp(-0.04))
+
+
 def test_algebraic_combinators():
     a, b = Constant(2.0), Constant(3.0)
     assert (a + b)(0.0)[0] == 5.0
