@@ -120,8 +120,13 @@ def basis_matrix(params: FockParams, points: np.ndarray) -> np.ndarray:
     points: (P, n) complex array.
     """
     points = np.atleast_2d(np.asarray(points, dtype=complex))
+    return _basis_rows(params, points, np.arange(params.dim))
+
+
+def _basis_rows(params: FockParams, points: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """E[r, i] = e_{alpha_{rows[r]}}(points[i]) for the given positions rows of the basis order."""
     P = points.shape[0]
-    idx = np.array(multi_indices(params))
+    idx = np.array(multi_indices(params))[rows]
     # per-axis power tables z_a^k, k = 0..D
     powers = []
     for a in range(params.n):
@@ -133,7 +138,7 @@ def basis_matrix(params: FockParams, points: np.ndarray) -> np.ndarray:
     E = powers[0][idx[:, 0]]
     for a in range(1, params.n):
         E *= powers[a][idx[:, a]]
-    E *= np.exp(-_log_norm_factors(params))[:, None]
+    E *= np.exp(-_log_norm_factors(params)[rows])[:, None]
     return E
 
 
@@ -318,11 +323,27 @@ def fock_p_norm(params: FockParams, coeffs: np.ndarray, p: float):
 
     Computed by quadrature against mu_{2t/p}, matching the definition
     of the p-Fock space as L^p(mu_{2t/p}) functions.  coeffs of shape
-    (..., dim) give one norm per row, from one basis evaluation.
+    (..., dim) give one norm per row.
+
+    The grid is the n-th tensor power of one Q^2-node plane rule, so the
+    values are contracted one plane at a time: the coefficients are
+    scattered onto the (D + 1)^n box of per-variable degrees, and each
+    plane is one product against the one-variable basis at the plane's
+    nodes.  Only the values themselves, Q^{2n} per row, span the full
+    grid; no dim x Q^{2n} basis matrix is formed.  At n = 1 the box is
+    the coefficient vector and the product is the dense one.
     """
-    grid = gaussian_grid(params.n, 2.0 * params.t / p, max(params.Q, 2))
-    vals = np.asarray(coeffs) @ basis_matrix(params, grid.nodes)
-    return np.sum(grid.weights * np.abs(vals) ** p, axis=-1) ** (1.0 / p)
+    Q, s = max(params.Q, 2), 2.0 * params.t / p
+    coeffs = np.asarray(coeffs)
+    plane = basis_matrix(FockParams(1, params.t, params.D, params.Q), gaussian_grid(1, s, Q).nodes)
+    batch = coeffs.shape[:-1]
+    vals = np.zeros(batch + (params.D + 1,) * params.n, dtype=np.result_type(coeffs, plane))
+    vals[(...,) + tuple(np.array(multi_indices(params)).T)] = coeffs
+    for _ in range(params.n):
+        # contract the leading degree axis; its plane's nodes go last
+        vals = np.moveaxis(vals, len(batch), -1) @ plane
+    vals = vals.reshape(batch + (-1,))
+    return np.sum(gaussian_grid(params.n, s, Q).weights * np.abs(vals) ** p, axis=-1) ** (1.0 / p)
 
 
 def p_operator_norm_lower_bound(

@@ -2,6 +2,7 @@
 
 import json
 import os
+from dataclasses import replace
 import subprocess
 import sys
 import tracemalloc
@@ -19,15 +20,18 @@ from fockqha.approximation import (
     toeplitz_approximation,
 )
 from fockqha.model import (
+    FockOperator,
     FockParams,
     identity_operator,
     kernel_coefficients,
     pc_operator,
     rank_one,
+    trusted_norm,
 )
+from fockqha import operators
 from fockqha.operators import toeplitz, weyl
 from fockqha.quadrature import lebesgue_grid
-from fockqha.symbols import Gaussian
+from fockqha.symbols import Gaussian, SymbolSum
 
 P = FockParams(1, 1.0, 16, 20)
 
@@ -230,3 +234,119 @@ def test_report_serialization(tmp_path):
     lines = cpath.read_text().strip().splitlines()
     assert lines[0] == "N,l1_residual,op_error,baseline_error"
     assert len(lines) == 3
+
+
+# The symbol is evaluated a block of (point, translate) pairs at a time, with
+# the rotation z -> i z supplying four points per orbit; its oracle is the
+# sum of its explicit parts c_j * A~(. - z_j), one Berezin call per part.
+# Bounds are relative to max |g|, with a few times the measured margin.
+P24 = FockParams(1, 1.0, 24, 26)
+
+
+def _random_operator(params, seed):
+    rng = np.random.default_rng(seed)
+    shape = (params.dim, params.dim)
+    return FockOperator(params, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+def _symbol_deviation(sym, pts):
+    g, ref = sym.eval(pts), SymbolSum(sym.parts).eval(pts)
+    return float(np.max(np.abs(g - ref)) / np.max(np.abs(ref)))
+
+
+@pytest.mark.filterwarnings("ignore:.*trusted")
+@pytest.mark.parametrize("N", [1, 2, 4, 8])
+def test_symbol_matches_parts_on_the_toeplitz_grid(N):
+    # measured at N = 1 / 2 / 4 / 8: 9e-16 / 4e-14 / 3.9e-13 / 1.4e-12, the
+    # worst of the three Theorem A targets and a random non-normal A
+    fit = fit_heat_kernel(P24, N)
+    targets = [
+        toeplitz(P24, Gaussian(center=0.0, width=2.0)),
+        weyl(P24, 0.5),
+        pc_operator(P24),
+        _random_operator(P24, 3),
+    ]
+    for A in targets:
+        sym = build_symbol_from_berezin(A, fit)
+        assert len(sym.parts) == fit.nodes.shape[0]
+        assert _symbol_deviation(sym, P24.grid().nodes) <= 5e-12
+
+
+@pytest.mark.filterwarnings("ignore:.*trusted")
+def test_symbol_matches_parts_off_the_grid():
+    # partial orbits (x, ix, -x without -ix), a full orbit with repeats, the
+    # origin and random points; measured 1e-14
+    rng = np.random.default_rng(5)
+    sym = build_symbol_from_berezin(_random_operator(P24, 4), fit_heat_kernel(P24, 2))
+    x, y = 0.7 - 1.3j, -0.4 + 0.9j
+    special = np.array([x, 1j * x, -x, y, 1j * y, -y, -1j * y, y, -y, 0.0, 2.5 + 0.1j])
+    random = 3.0 * (rng.random(50) - 0.5 + 1j * (rng.random(50) - 0.5))
+    pts = np.concatenate([special, random])[:, None]
+    assert _symbol_deviation(sym, pts) <= 1e-13
+    # a point and its repeat get the same value bit for bit
+    g = sym.eval(pts)
+    assert g[3] == g[7] and g[5] == g[8]
+
+
+@pytest.mark.filterwarnings("ignore:.*trusted")
+def test_symbol_matches_parts_on_an_odd_grid():
+    # Q odd puts a node at the origin, its own orbit; measured 8.6e-15
+    params = FockParams(1, 1.0, 24, 27)
+    assert np.any(params.grid().nodes == 0)
+    sym = build_symbol_from_berezin(_random_operator(params, 6), fit_heat_kernel(params, 2))
+    assert _symbol_deviation(sym, params.grid().nodes) <= 1e-13
+
+
+def test_symbol_matches_parts_in_two_variables():
+    # the N = 1 fit at n = 2: classes by total degree, every coordinate
+    # rotated; measured 6e-16 on the grid and on the shifted grid
+    params = FockParams(2, 1.0, 6, 8)
+    sym = build_symbol_from_berezin(_random_operator(params, 7), fit_heat_kernel(params, 1))
+    for pts in (params.grid().nodes, params.grid().nodes + 0.3):
+        assert _symbol_deviation(sym, pts) <= 1e-14
+
+
+@pytest.mark.filterwarnings("ignore:.*trusted")
+def test_symbol_with_nodes_off_the_symmetric_lattice():
+    # shifted nodes are not closed under z -> i z, so every point is its own
+    # representative; measured 1.2e-14
+    fit = fit_heat_kernel(P24, 2)
+    shifted = replace(fit, nodes=fit.nodes + (0.05 - 0.02j))
+    sym = build_symbol_from_berezin(_random_operator(P24, 8), shifted)
+    assert _symbol_deviation(sym, P24.grid().nodes) <= 1e-13
+
+
+@pytest.mark.filterwarnings("ignore:.*trusted")
+def test_symbol_splits_the_nodes_of_a_large_fit(monkeypatch):
+    # with a 16 KiB budget one block holds 40 of the 349 (point, node) pairs
+    # of a point, so the nodes are split across blocks and the partial sums
+    # add up; measured 4e-15
+    monkeypatch.setattr(operators, "_CHUNK_BYTES", 2**14)
+    sym = build_symbol_from_berezin(_random_operator(P24, 9), fit_heat_kernel(P24, 2))
+    pts = np.array([0.3 + 0.2j, -0.2 + 0.3j, -0.3 - 0.2j, 0.2 - 0.3j, 1.1, 0.0])[:, None]
+    assert _symbol_deviation(sym, pts) <= 1e-13
+
+
+@pytest.mark.filterwarnings("ignore:.*trusted")
+def test_symbol_evaluation_memory():
+    # one block of (point, translate) pairs is dim x 2234 complex values at
+    # D = 24, N = 8 (0.9 MB); measured peak 4.8 MiB for the whole evaluation
+    sym = build_symbol_from_berezin(weyl(P24, 0.5), fit_heat_kernel(P24, 8))
+    pts = P24.grid().nodes
+    tracemalloc.start()
+    try:
+        sym.eval(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
+
+
+@pytest.mark.filterwarnings("ignore:.*trusted")
+def test_op_error_matches_the_parts_route():
+    # measured: within 1.2e-13 for every Theorem A target and stage
+    A = weyl(P24, 0.5)
+    report = toeplitz_approximation(A, [2, 8], target="weyl")
+    for st in report.stages:
+        parts = build_symbol_from_berezin(A, st.fit).parts
+        assert abs(st.op_error - trusted_norm(A - toeplitz(P24, SymbolSum(parts)))) <= 1e-10

@@ -18,6 +18,8 @@ RUN = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
 SPANS = {
     "identities": "cli.cmd_verify.self_s",
     "theorem_a": "approximation.fit_heat_kernel.calls",
+    "semiclassical": "operators.heat_values.calls",
+    "two_variables": "operators.toeplitz.calls",
 }
 
 
