@@ -16,15 +16,12 @@ Two steps realize the constructive scheme:
 2. For an operator A in the trusted class, build the symbol
    g_N = sum_j c_j * (Berezin transform of A)(. - z_j) and compare A
    with the Toeplitz operator T_{g_N}.  g_N is evaluated as one batched
-   Berezin quadratic form per block of (point, translate) pairs
-   (operators.BerezinTranslateSum), not one Berezin pass per translate.
-   The Toeplitz grid and every fit lattice are closed under z -> i z,
-   and with v_alpha(w) = conj(w)^alpha / sqrt(alpha! t^{|alpha|}),
-   A~(w) = v^H A v / v^H v and v_alpha(i^m w) = (-i)^{m|alpha|} v_alpha(w);
-   splitting A by |alpha| mod 4 gives A~ at w, iw, -w, -iw for the cost
-   of one, so each pair of a point x and a node z_j gives g_N at all four
-   points of x's orbit.  It agrees with the explicit sum of translates
-   (the symbol's `parts`) to 1.4e-12 of max |g_N|.  Alongside runs the
+   Berezin quadratic form per block of (point, translate) pairs, not one
+   Berezin pass per translate, and every fit lattice is closed under
+   z -> i z, which gives g_N at four points for the cost of one (the
+   docstring of operators.BerezinTranslateSum explains how).  It agrees
+   with the explicit sum of translates (the symbol's `parts`) to 1.4e-12
+   of max |g_N|.  Alongside runs the
    baseline curve ||A - f_{t/N} * A||_op, which must dominate the error
    up to ||A|| times the fit residual (Young's inequality
    ||f * A|| <= ||f||_1 ||A|| has constant 1).

@@ -335,7 +335,11 @@ def cmd_export_berezin(cfg, args) -> int:
     path = _outpath(cfg, "berezin.csv")
     with _warnings_as_flags() as flags:
         A = parse_target(args.target, params)
-        berezin(A, m=args.grid_m).to_csv(path)
+        try:
+            grid = berezin(A, m=args.grid_m)
+        except ValueError as exc:
+            raise ConfigError(f"bad --grid-m: {exc}") from exc
+        grid.to_csv(path)
     write_json(
         _outpath(cfg, "berezin.json"),
         {

@@ -35,7 +35,7 @@ from .quadrature import gaussian_grid
 from .symbols import GridSymbol, Scale, Symbol, Translate
 
 # Byte budget of one block of dim x dim complex matrices in the batched
-# conjugations, of one block of shifted points in the shifted sums, and of
+# conjugations, of one block of shifted points in a heat transform, and of
 # one block of weighted rows in the last plane of a Toeplitz quadrature.
 # A block and its few temporaries set the peak memory of a convolution;
 # 1 MiB (about 100 matrices at D = 24) measured both lower peak memory and
@@ -43,8 +43,8 @@ from .symbols import GridSymbol, Scale, Symbol, Translate
 _CHUNK_BYTES = 2**20
 
 
-def _axis_blocks(z: np.ndarray, t: float, D: int, i: np.ndarray) -> np.ndarray:
-    """One-variable Weyl elements <W_z e_{i[s]}, e_{i[r]}> at [p, r, s], for z of shape (P,).
+def _axis_blocks(z: np.ndarray, t: float, D: int) -> np.ndarray:
+    """One-variable Weyl matrices <W_z e_b, e_a> at [p, a, b], for z of shape (P,).
 
     With alpha = conj(z)/sqrt(t), x = |alpha|^2, lo = min(a, b) and
     k = |a - b| the element <W_z e_b, e_a> is g(lo, k) (alpha/|alpha|)^k
@@ -80,7 +80,7 @@ def _axis_blocks(z: np.ndarray, t: float, D: int, i: np.ndarray) -> np.ndarray:
     phase = np.ones((z.shape[0], 2 * D + 1), dtype=complex)
     phase[:, D + 1 :] = np.cumprod(np.repeat(u[:, None], D, axis=1), axis=1)
     phase[:, :D] = (np.conj(phase[:, D + 1 :]) * (-1.0) ** k[1:])[:, ::-1]
-    a, b = i[:, None], i[None, :]
+    a, b = k[:, None], k[None, :]
     out = phase[:, a - b + D]
     out *= G[:, np.minimum(a, b), np.abs(a - b)]
     return out
@@ -93,15 +93,22 @@ def weyl_matrices(params: FockParams, zs) -> np.ndarray:
     <W_z e_b, e_a>; the compression of W_z to the degree box is the tensor
     product of one-variable blocks, so for n >= 2 an element is the
     product over axes of the one-variable elements at the indices'
-    components.
+    components.  At n = 1 the graded order is 0..D and the block is the
+    matrix.
     """
     zs = np.asarray(zs, dtype=complex)
     if zs.ndim != 2 or zs.shape[1] != params.n:
         raise ValueError(f"points must have shape (P, {params.n}), got {zs.shape}")
+    if params.n == 1:
+        return _axis_blocks(zs[:, 0], params.t, params.D)
     idx = np.array(multi_indices(params))
-    W = _axis_blocks(zs[:, 0], params.t, params.D, idx[:, 0])
-    for ax in range(1, params.n):
-        W *= _axis_blocks(zs[:, ax], params.t, params.D, idx[:, ax])
+    blocks = (
+        _axis_blocks(zs[:, k], params.t, params.D)[:, idx[:, k, None], idx[None, :, k]]
+        for k in range(params.n)
+    )
+    W = next(blocks)
+    for B in blocks:
+        W *= B
     return W
 
 
@@ -129,23 +136,6 @@ def _conjugations(params: FockParams, zs: np.ndarray, A: np.ndarray):
         W = weyl_matrices(params, zs[rows])
         WA = (W.reshape(-1, d) @ A).reshape(W.shape)
         yield rows, W, WA
-
-
-def _shifted_sums(f, points: np.ndarray, shifts: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """The sums over j of coeffs[j] f(points[i] + shifts[j]), for every point i.
-
-    f is evaluated once per block of points, on all of the block's
-    shifted copies at once; the block size follows from _CHUNK_BYTES,
-    counted on the array of shifted points.
-    """
-    S, n = shifts.shape
-    step = max(1, _CHUNK_BYTES // (16 * n * S))
-    out = np.empty(points.shape[0], dtype=complex)
-    for start in range(0, points.shape[0], step):
-        block = points[start : start + step]
-        vals = np.asarray(f((block[:, None, :] + shifts[None, :, :]).reshape(-1, n)))
-        out[start : start + step] = vals.reshape(block.shape[0], S) @ coeffs
-    return out
 
 
 def alpha_op(A: FockOperator, z) -> FockOperator:
@@ -259,12 +249,13 @@ class BerezinTranslateSum(Symbol):
     conj(v_a) A[a, b] v_b over the pairs with |a| - |b| = k (mod 4): one
     product of A, its columns split by |b| mod 4, with v(w).  When the
     nodes z_j are closed under z -> i z, with sigma(j) the index of i z_j,
-    g(i^m x) = sum_j c_{sigma^m(j)} A~(i^m (x - z_j)), so the pairs of one
-    point x give g at every point of its orbit x, ix, -x, -ix among the
-    evaluation points.  Points and nodes are matched by exact coordinates;
-    a point whose orbit is not complete among the points (the origin, a
-    random point), and every point when the nodes are not closed, is its
-    own representative and gives g at itself only.
+    g(i^m r) = sum_j c_{sigma^m(j)} A~(i^m (r - z_j)), so the pairs of one
+    point r give g at r, ir, -r and -ir.  Each point x is written
+    x = i^m r with the first coordinate of r in the quadrant Re > 0,
+    Im >= 0 (m = 0 when that coordinate is 0 or the nodes are not
+    closed); r = i^{-m} x only swaps and negates parts, so it is exact,
+    and g is computed once per distinct r.  A point's value does not
+    depend on the other points evaluated with it.
 
     Against the sum of its `parts`, the explicit expansion, it agrees to
     1.4e-12 of max |g| on the Theorem A grids (D = 24, N <= 8).
@@ -297,29 +288,17 @@ class BerezinTranslateSum(Symbol):
 
     def eval(self, points):
         points = np.asarray(points, dtype=complex)
-        if points.shape[0] == 0:
-            return np.zeros(0, dtype=complex)
         C = self._coefficient_rotations()
-        rotations = C.shape[1]
-        # distinct points, then their orbits under z -> i z; orbit[j, u] is
-        # the index of i^j u among the distinct points, -1 if absent
-        keys = _row_keys(points.real, points.imag)
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        U = points[first]
-        orbit = np.empty((4, U.shape[0]), dtype=np.intp)
-        orbit[0] = np.arange(U.shape[0])
-        rho = _times_i_index(U)
-        for j in range(1, 4):
-            orbit[j] = np.where(orbit[j - 1] >= 0, rho[orbit[j - 1]], -1)
-        full = np.all(orbit >= 0, axis=0) & (orbit[1] != orbit[0]) & (rotations == 4)
-        # the representative of a full orbit is its least index u0, and
-        # u = i^m u0 with m = 4 - (position of u0 in u's orbit)
-        j0 = np.where(full, np.argmin(np.where(orbit >= 0, orbit, U.shape[0]), axis=0), 0)
-        rep = orbit[j0, orbit[0]]
-        m = (4 - j0) % 4
-        reps, rep_row = np.unique(rep, return_inverse=True)
-        g = self._orbit_values(U[reps], C)
-        return g[rep_row, m][inverse.reshape(-1)]
+        # m is the quadrant of the first coordinate: x = i^m r, r[0] in Re > 0, Im >= 0
+        a, b = points[:, 0].real, points[:, 0].imag
+        m = np.select([(a <= 0) & (b > 0), (a < 0) & (b <= 0), (a >= 0) & (b < 0)], [1, 2, 3])
+        m = m if C.shape[1] == 4 else np.zeros_like(m)
+        # a product with 1, -i, -1 or i swaps and negates parts, exactly
+        R = points * np.array([1, -1j, -1, 1j])[m][:, None]
+        _, first, inverse = np.unique(
+            _row_keys(R.real, R.imag), return_index=True, return_inverse=True
+        )
+        return self._orbit_values(R[first], C)[inverse.reshape(-1), m]
 
     def _orbit_values(self, X: np.ndarray, C: np.ndarray) -> np.ndarray:
         """g(i^m x) at every row x of X, for the m of the columns of C: shape (R, C.shape[1])."""
@@ -376,14 +355,23 @@ def heat_values(f, t: float, points: np.ndarray, Q: int = 40) -> np.ndarray:
     points has shape (P, n), and n is read from it.  Substituting
     w = z + u turns the integral into an average of f(z + u) against
     mu_t(u), evaluated by Gauss-Hermite quadrature of order Q per real
-    axis (Q^{2n} nodes).
+    axis (Q^{2n} nodes).  f is evaluated once per block of points, on all
+    of the block's shifted copies at once; the block size follows from
+    _CHUNK_BYTES, counted on the array of shifted points.
     """
     points = np.asarray(points, dtype=complex)
     if points.ndim != 2:
         # a flat array of P points would read as one point in C^P
         raise ValueError(f"points must have shape (P, n), got {points.shape}")
     grid = gaussian_grid(points.shape[1], t, Q)
-    return _shifted_sums(f, points, grid.nodes, grid.weights)
+    S, n = grid.nodes.shape
+    step = max(1, _CHUNK_BYTES // (16 * n * S))
+    out = np.empty(points.shape[0], dtype=complex)
+    for start in range(0, points.shape[0], step):
+        block = points[start : start + step]
+        vals = np.asarray(f((block[:, None, :] + grid.nodes[None, :, :]).reshape(-1, n)))
+        out[start : start + step] = vals.reshape(block.shape[0], S) @ grid.weights
+    return out
 
 
 def heat_transform(

@@ -80,6 +80,10 @@ class Gaussian(Symbol):
     amplitude: complex = 1.0
     n: int = 1
 
+    def __post_init__(self):
+        if not 0 < self.width < np.inf:
+            raise ValueError(f"Gaussian width must be positive and finite, got {self.width}")
+
     def eval(self, points):
         c = np.atleast_1d(np.asarray(self.center, dtype=complex))
         d = points - c[None, :]
@@ -258,7 +262,9 @@ class GridSymbol(Symbol):
 
     @classmethod
     def sample(cls, func, window: float, m: int, n: int = 1) -> "GridSymbol":
-        """Sample an evaluable function on an m-per-axis grid."""
+        """Sample an evaluable function on an m-per-axis grid, m >= 2."""
+        if m < 2:
+            raise ValueError(f"a sampling grid needs at least 2 points per axis, got {m}")
         ax = np.linspace(-window, window, m)
         axes = [ax] * (2 * n)
         mesh = np.meshgrid(*axes, indexing="ij")

@@ -65,6 +65,29 @@ def test_invalid_stage():
         fit_heat_kernel(P, 0)
 
 
+def test_fit_escalates_the_ridge_when_the_solve_fails(monkeypatch):
+    solve, calls = scipy.linalg.solve, []
+
+    def fail_once(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 1:
+            raise scipy.linalg.LinAlgError("not positive definite")
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "solve", fail_once)
+    with pytest.warns(UserWarning, match="ridge escalated to 1.0e-06"):
+        fit = fit_heat_kernel(P, 2)
+    assert len(calls) == 2 and fit.ridge == 1e-6
+    assert np.sum(fit.coefficients) == pytest.approx(1.0, abs=1e-12)
+
+    def always_fail(*args, **kwargs):
+        raise scipy.linalg.LinAlgError("not positive definite")
+
+    monkeypatch.setattr(scipy.linalg, "solve", always_fail)
+    with pytest.raises(RuntimeError, match="ill-conditioned"):
+        fit_heat_kernel(P, 2)
+
+
 def _dense_fit(params, N):
     """The fit assembled densely: the design matrix on every 2-d grid node."""
     t, s = params.t, params.t / N
@@ -236,9 +259,9 @@ def test_report_serialization(tmp_path):
     assert len(lines) == 3
 
 
-# The symbol is evaluated a block of (point, translate) pairs at a time, with
-# the rotation z -> i z supplying four points per orbit; its oracle is the
-# sum of its explicit parts c_j * A~(. - z_j), one Berezin call per part.
+# The symbol is evaluated a block of (point, translate) pairs at a time, each
+# point rotated exactly into the first quadrant; its oracle is the sum of its
+# explicit parts c_j * A~(. - z_j), one Berezin call per part.
 # Bounds are relative to max |g|, with a few times the measured margin.
 P24 = FockParams(1, 1.0, 24, 26)
 
@@ -257,7 +280,7 @@ def _symbol_deviation(sym, pts):
 @pytest.mark.filterwarnings("ignore:.*trusted")
 @pytest.mark.parametrize("N", [1, 2, 4, 8])
 def test_symbol_matches_parts_on_the_toeplitz_grid(N):
-    # measured at N = 1 / 2 / 4 / 8: 9e-16 / 4e-14 / 3.9e-13 / 1.4e-12, the
+    # measured at N = 1 / 2 / 4 / 8: 9e-16 / 4.6e-14 / 4.7e-13 / 1.4e-12, the
     # worst of the three Theorem A targets and a random non-normal A
     fit = fit_heat_kernel(P24, N)
     targets = [
@@ -289,8 +312,19 @@ def test_symbol_matches_parts_off_the_grid():
 
 
 @pytest.mark.filterwarnings("ignore:.*trusted")
+def test_symbol_value_does_not_depend_on_the_batch():
+    # a grid node alone and the same node inside the whole grid; measured 2.5e-15
+    sym = build_symbol_from_berezin(weyl(P24, 0.5), fit_heat_kernel(P24, 4))
+    nodes = P24.grid().nodes
+    g = sym.eval(nodes)
+    picks = np.random.default_rng(10).choice(nodes.shape[0], 40, replace=False)
+    alone = np.array([sym.eval(nodes[k : k + 1])[0] for k in picks])
+    assert np.max(np.abs(alone - g[picks])) <= 1e-14 * np.max(np.abs(g))
+
+
+@pytest.mark.filterwarnings("ignore:.*trusted")
 def test_symbol_matches_parts_on_an_odd_grid():
-    # Q odd puts a node at the origin, its own orbit; measured 8.6e-15
+    # Q odd puts a node at the origin, its own representative; measured 9.9e-15
     params = FockParams(1, 1.0, 24, 27)
     assert np.any(params.grid().nodes == 0)
     sym = build_symbol_from_berezin(_random_operator(params, 6), fit_heat_kernel(params, 2))
@@ -309,7 +343,7 @@ def test_symbol_matches_parts_in_two_variables():
 @pytest.mark.filterwarnings("ignore:.*trusted")
 def test_symbol_with_nodes_off_the_symmetric_lattice():
     # shifted nodes are not closed under z -> i z, so every point is its own
-    # representative; measured 1.2e-14
+    # representative; measured 9.4e-15
     fit = fit_heat_kernel(P24, 2)
     shifted = replace(fit, nodes=fit.nodes + (0.05 - 0.02j))
     sym = build_symbol_from_berezin(_random_operator(P24, 8), shifted)

@@ -138,6 +138,21 @@ def test_malformed_approx_target(capsys):
     assert run_cli(["--D", "10", "--Q", "14", "approx", "bogus:1"]) == 2
 
 
+@pytest.mark.parametrize("target", ["toeplitz:0", "toeplitz:-1", "toeplitz:inf"])
+def test_gaussian_target_needs_a_positive_width(target, tmp_path, capsys):
+    assert run_cli(["--D", "10", "--Q", "14", "--outdir", str(tmp_path), "approx", target]) == 2
+    assert "width" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("m", ["1", "0", "-3"])
+def test_export_berezin_rejects_a_grid_below_two_points(m, tmp_path, capsys):
+    argv = ["--D", "8", "--Q", "12", "--outdir", str(tmp_path), "export-berezin", "rank-one:0"]
+    assert run_cli(argv + ["--grid-m", m]) == 2
+    assert "grid-m" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_unknown_sweep_kind(capsys):
     assert run_cli(["--D", "10", "--Q", "14", "sweep", "nonsense"]) == 2
 

@@ -171,6 +171,13 @@ def test_weyl_matrices_batch_matches_single_calls():
     assert Ws.shape == (3, p.dim, p.dim)
     for z, W in zip(zs, Ws):
         assert np.array_equal(W, weyl(p, z).matrix)
+    # each n = 2 entry is the product of its one-variable entries, exactly
+    p1 = FockParams(1, p.t, p.D, p.Q)
+    idx = np.array(multi_indices(p))
+    for z, W in zip(zs, Ws):
+        W0, W1 = weyl(p1, z[0]).matrix, weyl(p1, z[1]).matrix
+        want = W0[np.ix_(idx[:, 0], idx[:, 0])] * W1[np.ix_(idx[:, 1], idx[:, 1])]
+        assert np.array_equal(W, want)
     with pytest.raises(ValueError, match="shape"):
         weyl_matrices(p, zs[:, :1])
 

@@ -90,6 +90,12 @@ def test_gaussian_translate_and_flip_stay_gaussian():
     assert Gaussian(center=0.3).flipped().translated(0.1)(0.0)[0] == pytest.approx(np.exp(-0.04))
 
 
+@pytest.mark.parametrize("width", [0.0, -1.0, np.inf, np.nan])
+def test_gaussian_rejects_a_width_that_is_not_positive_and_finite(width):
+    with pytest.raises(ValueError, match="width"):
+        Gaussian(width=width)
+
+
 def test_algebraic_combinators():
     a, b = Constant(2.0), Constant(3.0)
     assert (a + b)(0.0)[0] == 5.0
@@ -115,6 +121,12 @@ def test_grid_symbol_csv(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "re_z,im_z,re_value,im_value"
     assert len(lines) == 1 + 9
+
+
+@pytest.mark.parametrize("m", [1, 0, -3])
+def test_grid_symbol_needs_two_points_per_axis(m):
+    with pytest.raises(ValueError, match="at least 2"):
+        GridSymbol.sample(Constant(1.0), window=1.0, m=m)
 
 
 def test_symbol_base_is_abstract():
