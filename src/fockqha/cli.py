@@ -145,24 +145,31 @@ def _warnings_as_flags():
             flags.append(str(w.message))
 
 
+def _finite(name: str, value):
+    """value, or ValueError naming it if it is not finite."""
+    if not np.isfinite(value):
+        raise ValueError(f"{name} {value} is not finite")
+    return value
+
+
 def parse_target(spec: str, params):
     """Target grammar: toeplitz:<width>[:<center>] | weyl:<z> | rank-one:<z>.
 
     Complex numbers use python literal syntax, e.g. 0.5+0.5j.  At n >= 2
-    the centre and z are repeated on every axis.
+    the centre and z are repeated on every axis.  Every number must be
+    finite.
     """
     parts = spec.split(":")
     kind = parts[0]
     try:
         if kind == "toeplitz":
-            width = float(parts[1]) if len(parts) > 1 else 2.0
-            center = complex(parts[2]) if len(parts) > 2 else 0.0
+            width = _finite("width", float(parts[1])) if len(parts) > 1 else 2.0
+            center = _finite("center", complex(parts[2])) if len(parts) > 2 else 0.0
             return toeplitz(params, Gaussian(center=center, width=width, n=params.n))
-        if kind == "weyl":
-            z = complex(parts[1]) if len(parts) > 1 else 0.0
-            return weyl(params, np.full(params.n, z))
-        if kind == "rank-one":
-            z = complex(parts[1]) if len(parts) > 1 else 0.0
+        if kind in ("weyl", "rank-one"):
+            z = _finite("z", complex(parts[1])) if len(parts) > 1 else 0.0
+            if kind == "weyl":
+                return weyl(params, np.full(params.n, z))
             k = kernel_coefficients(params, np.full(params.n, z))
             return rank_one(k, k)
     except (IndexError, ValueError) as exc:

@@ -99,6 +99,9 @@ class Gaussian(Symbol):
 
 def heat_gaussian(s: float, n: int = 1) -> Gaussian:
     """f_s(z) = (pi s)^{-n} exp(-|z|^2 / s); an approximate identity as s -> 0."""
+    # checked before the amplitude, which divides by s
+    if not 0 < s < np.inf:
+        raise ValueError(f"heat kernel width must be positive and finite, got {s}")
     center = 0.0 if n == 1 else np.zeros(n, dtype=complex)
     return Gaussian(center=center, width=s, amplitude=(np.pi * s) ** (-n), n=n)
 

@@ -145,6 +145,14 @@ def test_gaussian_target_needs_a_positive_width(target, tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("target", ["weyl:nan", "rank-one:inf", "toeplitz:nan", "toeplitz:2:nan"])
+def test_target_needs_finite_numbers(target, tmp_path, capsys):
+    argv = ["--D", "8", "--Q", "12", "--outdir", str(tmp_path), "approx", target]
+    assert run_cli(argv) == 2
+    assert "not finite" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("m", ["1", "0", "-3"])
 def test_export_berezin_rejects_a_grid_below_two_points(m, tmp_path, capsys):
     argv = ["--D", "8", "--Q", "12", "--outdir", str(tmp_path), "export-berezin", "rank-one:0"]

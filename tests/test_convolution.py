@@ -5,6 +5,8 @@ against an explicit Gauss-Hermite rule, so the oracles share no code with
 the rule the package uses.
 """
 
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -37,7 +39,7 @@ from fockqha.operators import (
     alpha_op,
     berezin_values,
     toeplitz,
-    weyl,
+    weyl_matrices,
 )
 from fockqha.symbols import Constant, Gaussian, PlaneWave, Translate, heat_gaussian
 
@@ -45,16 +47,29 @@ P = FockParams(1, 1.0, 16, 20)
 CFG = default_config(P)
 
 
-def hermite_dv(t, m, center=0.0):
-    """Nodes and weights of the order-m Gauss-Hermite rule for dV on C (n = 1).
+def hermite_dv(t, m, center=0.0, n=1):
+    """Nodes and weights of the order-m Gauss-Hermite rule for dV on C^n.
 
     Exact for p(z) exp(-|z - center|^2 / t) with p of degree <= 2m - 1 in
     each real coordinate.
     """
     x, w = np.polynomial.hermite.hermgauss(m)
     w1 = np.sqrt(t) * w * np.exp(x**2)
-    z = center + np.sqrt(t) * (x[:, None] + 1j * x[None, :]).ravel()
-    return z[:, None], np.outer(w1, w1).ravel()
+    z1 = np.sqrt(t) * (x[:, None] + 1j * x[None, :]).ravel()
+    c1 = np.outer(w1, w1).ravel()
+    z = np.stack(np.meshgrid(*[z1] * n, indexing="ij"), axis=-1).reshape(-1, n)
+    return center + z, reduce(np.multiply.outer, [c1] * n).ravel()
+
+
+def per_node_sum(p, f, A, nodes, weights):
+    """The defining sum of c_i W_i A W_i^* over the nodes, c_i = w_i f(z_i)."""
+    c = weights * f(nodes)
+    want = np.zeros((p.dim, p.dim), dtype=complex)
+    for start in range(0, c.size, 512):
+        W = weyl_matrices(p, nodes[start : start + 512])
+        CW = c[start : start + 512, None, None] * W
+        want += np.einsum("kac,cd,kbd->ab", CW, A.matrix, W.conj(), optimize=True)
+    return want
 
 
 def test_config_validation():
@@ -91,10 +106,7 @@ def test_conv_fun_op_matches_per_node_sum():
     # the square completed against f: 1/tau = 1/t + 1/1.5, centre (tau/1.5) c
     tau = 1.5 / 2.5
     nodes, weights = hermite_dv(tau, 12, (tau / 1.5) * (0.3 - 0.2j))
-    want = np.zeros((p.dim, p.dim), dtype=complex)
-    for z, c in zip(nodes, weights * f(nodes)):
-        W = weyl(p, z).matrix
-        want += c * (W @ A.matrix @ W.conj().T)
+    want = per_node_sum(p, f, A, nodes, weights)
     got = conv_fun_op(f, A, cfg).matrix
     assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
 
@@ -291,10 +303,11 @@ def test_two_pipeline_residual_is_toeplitz_error(gaussian_pipelines):
     assert abs(residual - toeplitz_error) <= 1e-6 * toeplitz_error
 
 
+# a centred Gaussian takes the radial rule whatever cfg.m says, so only the
+# off-centre kernel tests the Hermite order; the radial rule is checked
+# against its oracle below
 @pytest.mark.parametrize(
-    "f",
-    [heat_gaussian(0.125), Gaussian(center=0.7 - 0.4j, width=1.5, amplitude=0.5)],
-    ids=["heat-1/8", "off-centre"],
+    "f", [Gaussian(center=0.7 - 0.4j, width=1.5, amplitude=0.5)], ids=["off-centre"]
 )
 def test_conv_fun_op_is_exact_at_order_2d_plus_1(f):
     rng = np.random.default_rng(3)
@@ -304,3 +317,30 @@ def test_conv_fun_op_is_exact_at_order_2d_plus_1(f):
     exact = conv_fun_op(f, A, ConvolutionConfig(2 * P.D + 1)).matrix
     higher = conv_fun_op(f, A, ConvolutionConfig(2 * P.D + 9)).matrix
     assert np.max(np.abs(exact - higher)) < 1e-14
+
+
+@pytest.mark.parametrize(
+    "n, D, s",
+    [(1, 10, 1.0), (1, 10, 0.125), (1, 24, 1.0), (1, 24, 0.125), (2, 6, 0.125)],
+)
+def test_radial_rule_matches_per_node_hermite_sum(n, D, s):
+    # a centred Gaussian takes the radial rule; the oracle is the defining
+    # sum on the Hermite rule completed against f, exact at order 2D + 1
+    p = FockParams(n, 1.0, D, D + 2)
+    rng = np.random.default_rng(14)
+    A = FockOperator(p, rng.standard_normal((p.dim, p.dim)) + 1j * rng.standard_normal((p.dim, p.dim)))
+    f = heat_gaussian(s, n)
+    tau = p.t * s / (p.t + s)
+    want = per_node_sum(p, f, A, *hermite_dv(tau, 2 * D + 1, n=n))
+    got = conv_fun_op(f, A, ConvolutionConfig(1)).matrix
+    # measured <= 2.4e-15; numpy's laggauss weights would give 4e-14 at D = 24
+    assert np.max(np.abs(got - want)) < 2e-14 * np.max(np.abs(want))
+
+
+def test_radial_rule_keeps_the_hermite_paths_errors():
+    # a kernel the Hermite path rejects is not taken by the radial rule
+    p2 = FockParams(2, 1.0, 4, 6)
+    with pytest.raises(ValueError):
+        conv_fun_op(heat_gaussian(1.0), identity_operator(p2), ConvolutionConfig(3))
+    with pytest.raises(ValueError, match="non-finite"):
+        conv_fun_op(Gaussian(amplitude=np.nan), pc_operator(P), ConvolutionConfig(3))

@@ -1,6 +1,7 @@
 """Smoke checks in two complex variables (n = 2)."""
 
 import contextlib
+import csv
 import io
 import json
 
@@ -8,10 +9,17 @@ import numpy as np
 
 import fockqha.model as M
 from fockqha.cli import main
-from fockqha.model import FockParams, identity_operator, kernel_coefficients, rank_one
-from fockqha.operators import berezin_values, toeplitz, weyl
+from fockqha.model import (
+    FockParams,
+    identity_operator,
+    kernel_coefficients,
+    rank_one,
+    trusted_norm,
+)
+from fockqha.operators import berezin_values, toeplitz, weyl, weyl_matrices
+from fockqha.quadrature import hermite_dv_grid
 from fockqha.serialize import load_operator
-from fockqha.symbols import Constant, Gaussian
+from fockqha.symbols import Constant, Gaussian, heat_gaussian
 
 P2 = FockParams(2, 1.0, 4, 6)
 
@@ -74,6 +82,30 @@ def test_verify_runs_n2(tmp_path):
         "two-pipeline-toeplitz",
     ]
     assert report["passed"] is (status == 0)
+
+
+def test_approx_identity_sweep_n2(tmp_path):
+    argv = ["--n", "2", "--D", "6", "--Q", "8", "--outdir", str(tmp_path), "sweep", "approx-identity"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    with open(tmp_path / "sweep_approx_identity.csv") as fh:
+        rows = [(float(s), float(e)) for s, e in list(csv.reader(fh))[1:]]
+    assert [s for s, _ in rows] == [1.0, 0.5, 0.25, 0.125]
+    errors = [e for _, e in rows]
+    assert all(later < earlier for earlier, later in zip(errors, errors[1:]))
+    # the first row against the defining sum of f_1 * A on the Hermite rule
+    # completed against f_1 (1/tau = 1/t + 1/s), exact at order 2D + 1
+    p = FockParams(2, 1.0, 6, 8)
+    A = toeplitz(p, Gaussian(center=np.zeros(2, dtype=complex), width=2.0, n=2))
+    f = heat_gaussian(1.0, 2)
+    grid = hermite_dv_grid(2, 0.5, 2 * p.D + 1)
+    c = grid.weights * f(grid.nodes)
+    conv = np.zeros((p.dim, p.dim), dtype=complex)
+    for start in range(0, grid.size, 512):
+        W = weyl_matrices(p, grid.nodes[start : start + 512])
+        CW = c[start : start + 512, None, None] * W
+        conv += np.einsum("kac,cd,kbd->ab", CW, A.matrix, W.conj(), optimize=True)
+    assert abs(errors[0] - trusted_norm(M.FockOperator(p, conv) - A)) < 1e-12
 
 
 def _export(tmp_path, target):

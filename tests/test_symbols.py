@@ -94,6 +94,8 @@ def test_gaussian_translate_and_flip_stay_gaussian():
 def test_gaussian_rejects_a_width_that_is_not_positive_and_finite(width):
     with pytest.raises(ValueError, match="width"):
         Gaussian(width=width)
+    with pytest.raises(ValueError, match="width"):
+        heat_gaussian(width)
 
 
 def test_algebraic_combinators():
