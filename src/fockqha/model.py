@@ -42,7 +42,7 @@ class FockParams:
     """Parameters fixing the truncated model.
 
     n : complex dimension
-    t : Gaussian weight parameter (> 0)
+    t : Gaussian weight parameter (0 < t < inf)
     D : total-degree cutoff; basis = {e_alpha : |alpha| <= D}
     Q : Gauss-Hermite order per real axis (Q >= D + 2 so that
         polynomial integrands of degree <= 2D are exact)
@@ -56,8 +56,8 @@ class FockParams:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be a positive integer")
-        if self.t <= 0:
-            raise ValueError("t must be positive")
+        if not 0 < self.t < math.inf:
+            raise ValueError("t must be positive and finite")
         if self.D < 0:
             raise ValueError("D must be non-negative")
         if self.Q < self.D + 2:

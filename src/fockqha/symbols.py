@@ -96,6 +96,25 @@ class Gaussian(Symbol):
     def flipped(self) -> "Gaussian":
         return replace(self, center=-np.asarray(self.center, dtype=complex))
 
+    def __mul__(self, other):
+        """A Gaussian again when other is a Gaussian on the same C^n (completed square).
+
+        |w - c1|^2/W1 + |w - c2|^2/W2 = |w - c|^2/W + |c1 - c2|^2/(W1 + W2)
+        with W = W1 W2/(W1 + W2) and c = (W2 c1 + W1 c2)/(W1 + W2).
+        """
+        if not (isinstance(other, Gaussian) and other.n == self.n):
+            return Symbol.__mul__(self, other)
+        W1, W2 = self.width, other.width
+        c1 = np.asarray(self.center, dtype=complex)
+        c2 = np.asarray(other.center, dtype=complex)
+        gap = np.sum(np.abs(c1 - c2) ** 2)
+        return Gaussian(
+            center=(W2 * c1 + W1 * c2) / (W1 + W2),
+            width=W1 * W2 / (W1 + W2),
+            amplitude=self.amplitude * other.amplitude * np.exp(-gap / (W1 + W2)),
+            n=self.n,
+        )
+
 
 def heat_gaussian(s: float, n: int = 1) -> Gaussian:
     """f_s(z) = (pi s)^{-n} exp(-|z|^2 / s); an approximate identity as s -> 0."""

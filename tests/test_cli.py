@@ -70,6 +70,13 @@ def test_verify_rejects_invalid_model(capsys):
     assert run_cli(["--D", "12", "--Q", "4", "verify"]) == 2
 
 
+@pytest.mark.parametrize("t", ["nan", "inf", "0"])
+def test_verify_rejects_a_weight_that_is_not_positive_and_finite(t, tmp_path, capsys):
+    argv = ["--t", t, "--D", "4", "--Q", "6", "--outdir", str(tmp_path), "verify"]
+    assert run_cli(argv) == 2
+    assert "t must be positive and finite" in capsys.readouterr().err
+
+
 def test_m_flag_is_ignored_and_conv_keys_are_rejected(tmp_path, capsys):
     # every convolution uses the exact order 2D + 1, so --m changes no byte
     # and the retired conv.* keys are unknown

@@ -47,6 +47,21 @@ def test_quantization_gaussian_decreasing():
     assert sup[2] < sup[1] < sup[0]
 
 
+@pytest.mark.parametrize("params", [P, FockParams(2, 1.0, 6, 8)], ids=["n1", "n2"])
+def test_quantization_sup_records_are_the_closed_form_sup(params):
+    # fg is the centred Gaussian of width W = 4/3 and heat_t(fg) is
+    # (W/(W+t))^n e^{-|z|^2/(W+t)}; |fg - heat_t(fg)| peaks at z = 0, a grid
+    # point, at 1 - (W/(W+t))^n, which is t/(W+t) at n = 1
+    n = params.n
+    center = 0.0 if n == 1 else np.zeros(n, dtype=complex)
+    f, g = Gaussian(center=center, width=4.0, n=n), Gaussian(center=center, width=2.0, n=n)
+    t_list, W = [1.0, 0.5, 0.25], 4.0 * 2.0 / (4.0 + 2.0)
+    _, sup_recs = quantization_sweep(f, g, t_list, params, m=9)
+    for t, rec in zip(t_list, sup_recs):
+        want = t / (W + t) if n == 1 else 1.0 - (W / (W + t)) ** n
+        assert abs(rec.quantity - want) < 1e-15
+
+
 def test_compactness_coherent_projection_profile():
     k = kernel_coefficients(P, 0.0)
     A = rank_one(k, k)

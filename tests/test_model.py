@@ -49,6 +49,13 @@ def test_params_validation():
         FockParams(1, 1.0, 10, 8)  # Q < D + 2
 
 
+@pytest.mark.parametrize("t", [0.0, -1.0, np.nan, np.inf])
+def test_params_reject_a_weight_that_is_not_positive_and_finite(t):
+    # nan <= 0 is False, so a bare sign test let nan through
+    with pytest.raises(ValueError, match="t must be positive and finite"):
+        FockParams(1, t, 4, 6)
+
+
 def test_basis_order_one_variable():
     p = FockParams(1, 1.0, 2, 4)
     assert multi_indices(p) == ((0,), (1,), (2,))

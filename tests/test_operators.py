@@ -41,6 +41,7 @@ from fockqha.symbols import (
     PlaneWave,
     Polynomial,
     Radial,
+    SymbolSum,
     heat_gaussian,
 )
 
@@ -373,8 +374,9 @@ def test_heat_transform_of_one():
 
 
 def test_heat_transform_gaussian_closed_form():
+    # a one-part sum keeps the Gaussian on the quadrature path
     s, t = 0.8, 0.6
-    f = heat_gaussian(s)
+    f = SymbolSum([heat_gaussian(s)])
     pts = np.array([0.0, 0.5, -1.0j])[:, None]
     got = heat_values(f, t, pts)
     want = (np.pi * (s + t)) ** (-1) * np.exp(-np.abs(pts[:, 0]) ** 2 / (s + t))
@@ -385,9 +387,59 @@ def test_heat_transform_gaussian_closed_form_n2():
     # the dimension of the integral comes from the points
     s, t = 0.8, 0.6
     pts = np.array([[0.3, 0.2j], [0.0, 0.0], [-0.5 + 0.1j, 0.4]])
-    got = heat_values(heat_gaussian(s, n=2), t, pts, Q=28)
+    got = heat_values(SymbolSum([heat_gaussian(s, n=2)]), t, pts, Q=28)
     want = (np.pi * (s + t)) ** (-2) * np.exp(-np.sum(np.abs(pts) ** 2, axis=1) / (s + t))
     assert np.max(np.abs(got - want)) < 1e-14
+
+
+def heat_of_gaussian_by_mpmath(f, t, z):
+    """(pi t)^{-n} integral of f(w) exp(-|z - w|^2/t) dV(w) for a Gaussian f, by mpmath.quad.
+
+    The integrand is a product over the 2n real axes, so it is a product of
+    one-dimensional integrals, each summed by quadrature at 30 digits.
+    """
+    import mpmath as mp
+
+    c = np.atleast_1d(np.asarray(f.center, dtype=complex))
+    with mp.workdps(30):
+        W, t = mp.mpf(f.width), mp.mpf(t)
+        value = mp.mpc(f.amplitude)
+        for ck, zk in zip(c, z):
+            for a, x in ((ck.real, zk.real), (ck.imag, zk.imag)):
+                a, x = mp.mpf(a), mp.mpf(x)
+                peak = (a / W + x / t) / (1 / W + 1 / t)
+                integral = mp.quad(
+                    lambda u: mp.exp(-((u - a) ** 2) / W - (u - x) ** 2 / t),
+                    [-mp.inf, peak, mp.inf],
+                )
+                value *= integral / mp.sqrt(mp.pi * t)
+        return complex(value)
+
+
+@pytest.mark.parametrize(
+    "f, t",
+    [
+        (Gaussian(center=0.4 - 0.7j, width=1.3, amplitude=0.8 - 0.5j), 0.6),
+        (Gaussian(center=[0.4 - 0.7j, -0.2 + 0.3j], width=0.9, amplitude=-0.3 + 1.1j, n=2), 1.7),
+    ],
+    ids=["n1", "n2"],
+)
+def test_heat_transform_of_a_gaussian_matches_mpmath(f, t):
+    rng = np.random.default_rng(15)
+    pts = rng.standard_normal((6, f.n)) + 1j * rng.standard_normal((6, f.n))
+    got = heat_values(f, t, pts)
+    assert got.dtype == complex
+    want = np.array([heat_of_gaussian_by_mpmath(f, t, z) for z in pts])
+    assert np.max(np.abs(got - want) / np.abs(want)) < 1e-14
+
+
+@pytest.mark.parametrize("t", [0.0, -1.0, np.nan, np.inf])
+@pytest.mark.parametrize(
+    "f", [Gaussian(width=1.0), Constant(1.0)], ids=["closed-form", "quadrature"]
+)
+def test_heat_values_rejects_a_weight_that_is_not_positive_and_finite(f, t):
+    with pytest.raises(ValueError, match="positive and finite"):
+        heat_values(f, t, np.zeros((2, 1)))
 
 
 def test_heat_values_rejects_flat_points():

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fockqha.symbols import (
     Constant,
@@ -14,6 +16,7 @@ from fockqha.symbols import (
     Radial,
     Scale,
     Symbol,
+    SymbolProduct,
     Translate,
     as_points,
     heat_gaussian,
@@ -96,6 +99,53 @@ def test_gaussian_rejects_a_width_that_is_not_positive_and_finite(width):
         Gaussian(width=width)
     with pytest.raises(ValueError, match="width"):
         heat_gaussian(width)
+
+
+_coord = st.floats(-2.0, 2.0)
+_complex = st.builds(complex, _coord, _coord)
+
+
+@st.composite
+def _gaussian_pairs(draw):
+    n = draw(st.sampled_from([1, 2]))
+
+    def gaussian():
+        center = draw(st.lists(_complex, min_size=n, max_size=n))
+        return Gaussian(
+            center=center[0] if n == 1 else np.array(center),
+            width=draw(st.floats(0.25, 8.0)),
+            # away from zero, so that products stay clear of subnormal numbers
+            amplitude=draw(st.floats(0.1, 2.0)) * np.exp(1j * draw(st.floats(0.0, 6.3))),
+            n=n,
+        )
+
+    return gaussian(), gaussian()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_gaussian_pairs(), st.integers(0, 2**32 - 1))
+def test_gaussian_product_is_the_pointwise_product(pair, seed):
+    f, g = pair
+    fg = f * g
+    assert isinstance(fg, Gaussian) and fg.n == f.n
+    rng = np.random.default_rng(seed)
+    pts = 3.0 * (rng.uniform(-1, 1, (16, f.n)) + 1j * rng.uniform(-1, 1, (16, f.n)))
+    want = f(pts) * g(pts)
+    # rounding in the exponent E = sum |z - c|^2/W makes a relative error of
+    # about eps * E; the worst of 20,000 random pairs was 5.1 eps (1 + E)
+    E = sum(np.sum(np.abs(pts - h.center) ** 2, axis=1) / h.width for h in (f, g))
+    bound = 16 * np.finfo(float).eps * (1 + E) * np.abs(want)
+    assert np.all(np.abs(fg(pts) - want) <= bound)
+
+
+def test_gaussian_times_anything_else_is_a_symbol_product():
+    g = Gaussian(center=0.3, width=2.0)
+    p = Polynomial(terms=[((1,), (1,), 1.0)])
+    pts = np.array([0.0, 0.5 - 1.0j])[:, None]
+    for product in (g * p, p * g, g * Gaussian(center=np.zeros(2), n=2)):
+        assert isinstance(product, SymbolProduct)
+    assert np.max(np.abs((g * p)(pts) - g(pts) * p(pts))) == 0.0
+    assert isinstance(2.0 * g, Scale) and isinstance(g * 2.0, Scale)
 
 
 def test_algebraic_combinators():
