@@ -33,7 +33,6 @@ import mmap
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from ._output import params_dict, write_csv, write_json
 from .convolution import conv_fun_op, default_config
@@ -81,6 +80,11 @@ def fit_heat_kernel(params: FockParams, N: int) -> HeatKernelFit:
         )
     if params.n != 1:
         raise NotImplementedError("heat-kernel fitting lattices are built for n = 1")
+    # the package's only scipy use, imported here so that only a process
+    # that fits pays for it: numpy has no in-place posv, and cholesky plus
+    # two solves took 3-4 times as long at J = 1117 (one BLAS thread)
+    import scipy.linalg
+
     t, s = params.t, params.t / N
     pitch = 0.5 * np.sqrt(s)
     radius = 3.0 * np.sqrt(t) + np.sqrt(s)

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
 from .quadrature import gaussian_grid
 
@@ -284,11 +283,22 @@ def degree_projector(params: FockParams, max_degree: int) -> FockOperator:
     return FockOperator(params, np.diag((degrees <= max_degree).astype(complex)))
 
 
+def _svdvals(M: np.ndarray) -> np.ndarray:
+    """Singular values in descending order, by LAPACK gesdd.
+
+    np.linalg.svd returns NaN for a matrix holding inf, so non-finite
+    input is rejected first.
+    """
+    if not np.all(np.isfinite(M)):
+        raise ValueError("array must not contain infs or NaNs")
+    return np.linalg.svd(M, compute_uv=False)
+
+
 def operator_norm_2(A: FockOperator) -> float:
     """Largest singular value (spectral norm on the truncated space)."""
     if not np.any(A.matrix):
         return 0.0
-    return float(scipy.linalg.svdvals(A.matrix)[0])
+    return float(_svdvals(A.matrix)[0])
 
 
 def trusted_norm(A: FockOperator) -> float:
@@ -307,14 +317,14 @@ def trusted_norm(A: FockOperator) -> float:
 
 
 def singular_values(A: FockOperator) -> np.ndarray:
-    return scipy.linalg.svdvals(A.matrix)
+    return _svdvals(A.matrix)
 
 
 def schatten_norm(A: FockOperator, p0: float) -> float:
     """l^{p0} norm of the singular values; p0 = 1 is the nuclear norm."""
     if p0 < 1:
         raise ValueError("p0 must be >= 1")
-    sv = scipy.linalg.svdvals(A.matrix)
+    sv = _svdvals(A.matrix)
     return float(np.sum(sv**p0) ** (1.0 / p0))
 
 

@@ -10,10 +10,10 @@ interpolation.  Evaluation is deterministic everywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import product
 from typing import Sequence
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from ._output import write_csv
 
@@ -258,12 +258,14 @@ class SymbolProduct(Symbol):
 
 
 class GridSymbol(Symbol):
-    """Function sampled on a regular grid over [-W, W]^{2n}, interpolated.
+    """Function sampled on a rectilinear grid over [-W, W]^{2n}, interpolated.
 
     values is a 2n-dimensional complex array over the tensor grid of
-    `axes` (one 1-d real array per real coordinate, alternating
-    Re z_0, Im z_0, Re z_1, ...).  Outside the window the symbol
-    evaluates to 0.
+    `axes` (one strictly ascending 1-d real array per real coordinate,
+    alternating Re z_0, Im z_0, Re z_1, ...).  Inside the window the
+    symbol is the multilinear interpolant: the 2^{2n} corners of the
+    point's grid cell weighted by products of per-axis fractions, so grid
+    nodes are reproduced exactly.  Outside the window it evaluates to 0.
     """
 
     def __init__(self, axes, values, n: int = 1):
@@ -272,15 +274,36 @@ class GridSymbol(Symbol):
         self.values = np.asarray(values, dtype=complex)
         if len(self.axes) != 2 * n:
             raise ValueError("need one axis per real coordinate")
-        self._interp = RegularGridInterpolator(
-            self.axes, self.values, bounds_error=False, fill_value=0.0
-        )
+        for ax in self.axes:
+            if ax.ndim != 1 or ax.size < 2 or not np.all(np.diff(ax) > 0):
+                raise ValueError("each axis must be 1-d with at least 2 strictly ascending points")
+        shape = tuple(ax.size for ax in self.axes)
+        if self.values.shape != shape:
+            raise ValueError(f"values have shape {self.values.shape}, the axes {shape}")
 
     def eval(self, points):
         coords = np.empty((points.shape[0], 2 * self.n))
         coords[:, 0::2] = np.real(points)
         coords[:, 1::2] = np.imag(points)
-        return self._interp(coords)
+        outside = np.zeros(points.shape[0], dtype=bool)
+        for x, ax in zip(coords.T, self.axes):
+            outside |= (x < ax[0]) | (x > ax[-1])
+        inside = np.flatnonzero(~outside)
+        cells, fracs = [], []
+        for x, ax in zip(coords[inside].T, self.axes):
+            i = np.clip(np.searchsorted(ax, x, side="right") - 1, 0, ax.size - 2)
+            y = (x - ax[i]) / (ax[i + 1] - ax[i])
+            cells.append(i)
+            fracs.append((1.0 - y, y))
+        acc = np.zeros(inside.size, dtype=complex)
+        for corner in product((0, 1), repeat=2 * self.n):
+            weight = np.ones(inside.size)
+            for up, pair in zip(corner, fracs):
+                weight = weight * pair[up]
+            acc += weight * self.values[tuple(i + up for i, up in zip(cells, corner))]
+        out = np.zeros(points.shape[0], dtype=complex)
+        out[inside] = acc
+        return out
 
     @classmethod
     def sample(cls, func, window: float, m: int, n: int = 1) -> "GridSymbol":

@@ -7,11 +7,14 @@ the rule the package uses.
 
 from functools import reduce
 
+import mpmath
 import numpy as np
 import pytest
+import scipy.special
 
 from fockqha.convolution import (
     ConvolutionConfig,
+    _gauss_laguerre,
     adjoint_duality_residuals,
     conv_fun_op,
     conv_op_op,
@@ -333,8 +336,36 @@ def test_radial_rule_matches_per_node_hermite_sum(n, D, s):
     tau = p.t * s / (p.t + s)
     want = per_node_sum(p, f, A, *hermite_dv(tau, 2 * D + 1, n=n))
     got = conv_fun_op(f, A, ConvolutionConfig(1)).matrix
-    # measured <= 2.4e-15; numpy's laggauss weights would give 4e-14 at D = 24
+    # measured <= 2.5e-15; numpy's laggauss weights would give 4e-14 at D = 24
     assert np.max(np.abs(got - want)) < 2e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("order", [25, 41, 61])
+def test_gauss_laguerre_rule_matches_mpmath(order):
+    # the radial rule's order D + 1 at D = 24, 40 and 60.  The oracle takes
+    # the root of L_n in 40 digits near each float node, and the weight
+    # x / ((n + 1)^2 L_{n+1}(x)^2) at the float node x itself, scaled as the
+    # kernel scales it, w'_k = w_k e^{y_k / beta}
+    y, w = _gauss_laguerre(order)
+    eps = np.finfo(float).eps
+    with mpmath.workdps(40):
+        for beta in (1.0, 9.0):
+            for yk, wk in zip(y, w * np.exp(y / beta)):
+                x = mpmath.mpf(float(yk))
+                root = mpmath.findroot(
+                    lambda u: mpmath.laguerre(order, 0, u), x, tol=mpmath.mpf(10) ** -35, verify=False
+                )
+                ref = x / ((order + 1) ** 2 * mpmath.laguerre(order + 1, 0, x) ** 2)
+                ref *= mpmath.exp(x / beta)
+                # measured <= 1.7e-16 for the nodes; 5.8e-15, 2.1e-14 and
+                # 3.8e-14 for the weights at the three orders, where scipy's
+                # roots_laguerre weights are 8.9e-14, 8.4e-14 and 3.4e-13 off
+                assert abs(x - root) <= 2 * eps * root
+                assert abs(wk - ref) <= 7 * eps * order * ref
+    # cross-check: the same nodes as scipy, and its less accurate weights
+    ys, ws = scipy.special.roots_laguerre(order)
+    assert np.max(np.abs(y - ys) / ys) <= 2 * eps
+    assert np.max(np.abs(w - ws) / ws) <= 1e-12
 
 
 def test_radial_rule_keeps_the_hermite_paths_errors():

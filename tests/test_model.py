@@ -23,6 +23,7 @@ from fockqha.model import (
     pc_operator,
     rank_one,
     schatten_norm,
+    singular_values,
 )
 from fockqha.operators import weyl
 from fockqha.quadrature import gaussian_grid
@@ -149,6 +150,19 @@ def test_schatten_examples():
     assert schatten_norm(A, 2.0) ** 2 == pytest.approx(np.sum(np.abs(A.matrix) ** 2))
     with pytest.raises(ValueError):
         schatten_norm(A, 0.5)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize(
+    "norm", [operator_norm_2, singular_values, lambda A: schatten_norm(A, 2.0)],
+    ids=["operator_norm_2", "singular_values", "schatten_norm"],
+)
+def test_singular_values_reject_non_finite_entries(norm, bad):
+    # LAPACK would return NaN singular values for an inf entry, silently
+    M = np.eye(P1.dim, dtype=complex)
+    M[2, 3] = bad
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        norm(FockOperator(P1, M))
 
 
 def test_norm_chain():

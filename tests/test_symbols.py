@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import RegularGridInterpolator
 
 from fockqha.symbols import (
     Constant,
@@ -164,6 +165,55 @@ def test_grid_symbol_sampling_and_interpolation():
     assert np.max(np.abs(gs(pts) - g(pts))) < 5e-3
     # zero fill outside the window
     assert gs(10.0)[0] == 0.0
+
+
+@pytest.mark.parametrize("n, m", [(1, 7), (1, 61), (2, 9)])
+def test_grid_symbol_interpolates_like_scipy(n, m):
+    f = Gaussian(center=np.full(n, 0.3 - 0.2j), width=1.5, amplitude=1.0 + 2.0j, n=n)
+    gs = GridSymbol.sample(f, window=3.0, m=m, n=n)
+    rgi = RegularGridInterpolator(gs.axes, gs.values, bounds_error=False, fill_value=0.0)
+
+    def oracle(z):
+        coords = np.empty((z.shape[0], 2 * n))
+        coords[:, 0::2], coords[:, 1::2] = z.real, z.imag
+        return rgi(coords)
+
+    # grid nodes, the window's corners and edges included, are reproduced exactly
+    mesh = np.meshgrid(*gs.axes, indexing="ij")
+    nodes = mesh[0].ravel() + 1j * mesh[1].ravel()
+    if n == 2:
+        nodes = np.stack([nodes, mesh[2].ravel() + 1j * mesh[3].ravel()], axis=1)
+    assert np.array_equal(gs(nodes), gs.values.ravel())
+    # off the grid, inside and outside the window, and on its edges
+    rng = np.random.default_rng(16)
+    z = rng.uniform(-3.5, 3.5, (4000, n)) + 1j * rng.uniform(-3.5, 3.5, (4000, n))
+    edge = rng.uniform(-3.0, 3.0, (400, n)) + 3.0j * rng.choice([-1.0, 1.0], (400, n))
+    edge[:200] = edge[:200].imag + 1j * edge[:200].real
+    for pts in (z, edge):
+        # measured: 1.1 eps max|values| at n = 1, 0 at n = 2
+        got, want = gs(pts), oracle(pts)
+        assert np.max(np.abs(got - want)) <= 4 * np.finfo(float).eps * np.max(np.abs(gs.values))
+        assert np.array_equal(got == 0, want == 0)
+    inside = np.all(np.abs(z.real) <= 3.0, axis=1) & np.all(np.abs(z.imag) <= 3.0, axis=1)
+    assert np.all(gs(z)[~inside] == 0) and np.all(gs(z)[inside] != 0)
+    # one ulp past the window on one coordinate, or infinitely far
+    past = np.nextafter(3.0, 4.0)
+    far = np.full((3, n), 3.0 + 3.0j)
+    far[0, 0], far[1, -1], far[2, 0] = past + 3.0j, 3.0 - 1j * past, np.inf
+    assert np.all(gs(far) == 0)
+
+
+def test_grid_symbol_checks_its_axes_and_values():
+    ax = np.linspace(-1.0, 1.0, 5)
+    GridSymbol([ax, ax], np.zeros((5, 5)))
+    for bad in ([0.0, 0.5, 0.5, 1.0], [0.0, 1.0, 0.5], ax[::-1], [0.0], [[0.0, 1.0]]):
+        with pytest.raises(ValueError, match="strictly ascending"):
+            GridSymbol([np.asarray(bad), ax], np.zeros((np.size(bad), 5)))
+    for shape in [(5, 4), (5, 5, 1), (25,)]:
+        with pytest.raises(ValueError, match="shape"):
+            GridSymbol([ax, ax], np.zeros(shape))
+    with pytest.raises(ValueError, match="one axis per real coordinate"):
+        GridSymbol([ax], np.zeros(5))
 
 
 def test_grid_symbol_csv(tmp_path):
