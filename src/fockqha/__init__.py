@@ -10,8 +10,7 @@ Importing the package defaults the BLAS thread-count variables to 1
 before numpy loads: threaded reductions are not bit-reproducible across
 pool sizes.  Variables already set are left as they are.
 
-Importing the package loads numpy only; scipy is imported by the first
-heat-kernel fit (fit_heat_kernel), its one user.
+The package needs numpy only; importing it loads nothing heavier.
 """
 
 import os

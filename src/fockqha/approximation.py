@@ -11,8 +11,10 @@ Two steps realize the constructive scheme:
    grid is the tensor square of an 80-node Gauss-Legendre rule and f_{t/N}
    and every translate factor over the two real axes, so the normal
    equations and the residual are assembled from 1-d Gram factors, never
-   from the (80^2 x J) design matrix; the numbers equal the dense
-   assembly's to roundoff.
+   from the (80^2 x J) design matrix.  The problem is invariant under the
+   eight symmetries of the lattice, so it is solved for one coefficient
+   per orbit (156 unknowns instead of J = 1117 at N = 8), and no J x J
+   matrix is formed; the numbers equal the dense assembly's to roundoff.
 2. For an operator A in the trusted class, build the symbol
    g_N = sum_j c_j * (Berezin transform of A)(. - z_j) and compare A
    with the Toeplitz operator T_{g_N}.  g_N is evaluated as one batched
@@ -29,7 +31,6 @@ Two steps realize the constructive scheme:
 
 from __future__ import annotations
 
-import mmap
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,7 +38,7 @@ import numpy as np
 from ._output import params_dict, write_csv, write_json
 from .convolution import conv_fun_op, default_config
 from .model import FockOperator, FockParams, _warn, operator_norm_2, trusted_norm
-from .operators import _CHUNK_BYTES, BerezinTranslateSum, toeplitz
+from .operators import BerezinTranslateSum, toeplitz
 from .quadrature import _legendre_rule
 from .symbols import Symbol, heat_gaussian
 
@@ -64,9 +65,11 @@ def fit_heat_kernel(params: FockParams, N: int) -> HeatKernelFit:
 
     Stage N = 1 is the exact fit: a single node at the origin with unit
     coefficient.  For N >= 2 the coefficients solve the ridge-regularized
-    normal equations on the lattice of the module docstring and are
-    rescaled to sum to 1 (f_{t/N} and every atom have unit mass); the L^1
-    residual is evaluated a posteriori.
+    normal equations on the lattice of the module docstring, reduced to
+    the lattice's orbits under z -> i z and conjugation (the coefficients
+    are exactly equal on each orbit), and are rescaled to sum to 1 (f_{t/N}
+    and every atom have unit mass); the L^1 residual is evaluated a
+    posteriori.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -80,10 +83,6 @@ def fit_heat_kernel(params: FockParams, N: int) -> HeatKernelFit:
         )
     if params.n != 1:
         raise NotImplementedError("heat-kernel fitting lattices are built for n = 1")
-    # the package's only scipy use, imported here so that only a process
-    # that fits pays for it: numpy has no in-place posv, and cholesky plus
-    # two solves took 3-4 times as long at J = 1117 (one BLAS thread)
-    import scipy.linalg
 
     t, s = params.t, params.t / N
     pitch = 0.5 * np.sqrt(s)
@@ -94,30 +93,40 @@ def fit_heat_kernel(params: FockParams, N: int) -> HeatKernelFit:
     inside = np.flatnonzero(np.abs(z) <= radius + 1e-12)
     nodes = z[inside][:, None]
     a, b = np.divmod(inside, axis.size)  # lattice indices of each node
+    # the D4 orbit of each node: the problem is invariant under z -> i z
+    # and conjugation, so its unique minimiser is constant on each orbit
+    u, v = np.abs(a - k), np.abs(b - k)
+    _, orbit, sizes = np.unique(
+        np.maximum(u, v) * (k + 1) + np.minimum(u, v), return_inverse=True, return_counts=True
+    )
 
     # The dV window (the lattice plus the Gaussian tails of f_t) is the
     # square of a 1-d rule, and f_s and every atom f_t(. - z_j) factor over
-    # the real and imaginary axes, so the weighted normal equations are
-    # products of entries of the 1-d Gram matrix G1 = E^T diag(w) E.
+    # the real and imaginary axes, so the normal matrix is
+    # G[i, j] = G1[a_i, a_j] G1[b_i, b_j] / (pi t)^2 with the symmetric 1-d
+    # Gram matrix G1 = E^T diag(w) E.  Summed over orbits, with V_o the
+    # orbit's indicator on the lattice square, (P^T G P)[o', o] = <V_o', G1 V_o G1>.
     x, w = _legendre_rule(float(radius + 4.0 * np.sqrt(t)), 80)
     E = np.exp(-((x[:, None] - axis[None, :]) ** 2) / t)  # (80, 2k + 1)
-    G1 = E.T @ (w[:, None] * E)
+    F = np.sqrt(w)[:, None] * E
+    G1 = F.T @ F
     g = np.exp(-(x**2) / s)
     r1 = E.T @ (w * g)
-    rhs = r1[a] * r1[b] / (np.pi**2 * s * t)
+    rhs = np.bincount(orbit, weights=r1[a] * r1[b] / (np.pi**2 * s * t))
+    V = np.zeros((sizes.size, axis.size, axis.size))
+    V[orbit, a, b] = 1.0
+    Y = G1 @ (V @ G1)
+    Gr = V.reshape(sizes.size, -1) @ Y.reshape(sizes.size, -1).T / (np.pi * t) ** 2
+    d = np.diag(G1)
+    scale = float(d[a] @ d[b]) / (np.pi * t) ** 2 / a.size  # trace(G) / J
 
     lam = RIDGE
     while True:
-        GT = _normal_matrix_transpose(G1, a, b, t)
-        scale = float(np.trace(GT)) / GT.shape[0]
-        GT.flat[:: GT.shape[0] + 1] += lam * scale
         try:
-            # G1 is symmetric only to roundoff, so GT.T is the normal
-            # matrix itself, in the Fortran order LAPACK factors in place
-            c = scipy.linalg.solve(GT.T, rhs, assume_a="pos", overwrite_a=True)
+            c = np.linalg.solve(Gr + np.diag(lam * scale * sizes), rhs)
             if np.all(np.isfinite(c)):
                 break
-        except scipy.linalg.LinAlgError:
+        except np.linalg.LinAlgError:
             pass
         lam *= RIDGE_ESCALATION
         if lam > MAX_RIDGE:
@@ -125,6 +134,7 @@ def fit_heat_kernel(params: FockParams, N: int) -> HeatKernelFit:
     if lam > RIDGE:
         _warn(f"heat-kernel fit ridge escalated to {lam:.1e}")
 
+    c = c[orbit]
     c = c / float(np.sum(c))
     # L^1 residual on the same grid; the fitted field on it is E C E^T / (pi t)
     C = np.zeros((axis.size, axis.size))
@@ -132,26 +142,6 @@ def fit_heat_kernel(params: FockParams, N: int) -> HeatKernelFit:
     err = np.outer(g, g) / (np.pi * s) - (E @ C @ E.T) / (np.pi * t)
     resid = float(w @ np.abs(err) @ w)
     return HeatKernelFit(N=N, nodes=nodes, coefficients=c, l1_residual=resid, ridge=lam)
-
-
-def _normal_matrix_transpose(G1, a, b, t: float) -> np.ndarray:
-    """The transpose of the fit's normal matrix G[i, j] = G1[a_i, a_j] G1[b_i, b_j] / (pi t)^2.
-
-    It is the fit's only J x J array (10 MB at N = 8), filled a block of
-    rows at a time, and it lives in its own anonymous mapping, which is
-    unmapped when the array is released.  From the malloc heap, a freed
-    block that size raises glibc's dynamic mmap threshold, after which up
-    to twice that much freed heap stays resident or not depending on the
-    heap layout: the peak RSS of identical Theorem A runs differed by 8 MB.
-    """
-    J = a.size
-    GT = np.frombuffer(mmap.mmap(-1, 8 * J * J), dtype=float).reshape(J, J)
-    step = max(1, _CHUNK_BYTES // (8 * J))
-    for start in range(0, J, step):
-        rows = slice(start, start + step)
-        np.multiply(G1.T[np.ix_(a[rows], a)], G1.T[np.ix_(b[rows], b)], out=GT[rows])
-    GT *= (np.pi * t) ** -2
-    return GT
 
 
 def build_symbol_from_berezin(A: FockOperator, fit: HeatKernelFit) -> Symbol:

@@ -263,6 +263,10 @@ def cmd_approx(cfg, args) -> int:
 
 def cmd_sweep(cfg, args) -> int:
     kind, symbol = args.kind, args.symbol
+    # invariance reads one of two symbols, compactness a target spec, the others none
+    accepted = {"invariance": ("", "horizontal", "radial"), "compactness": (symbol,)}
+    if symbol not in accepted.get(kind, ("",)):
+        raise ConfigError(f"sweep {kind} does not read --symbol {symbol!r}")
     params = _build_model(cfg)
     meta = {"kind": kind, "symbol": symbol}
 

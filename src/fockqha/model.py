@@ -321,11 +321,14 @@ def singular_values(A: FockOperator) -> np.ndarray:
 
 
 def schatten_norm(A: FockOperator, p0: float) -> float:
-    """l^{p0} norm of the singular values; p0 = 1 is the nuclear norm."""
-    if p0 < 1:
+    """l^{p0} norm of the singular values: nuclear at p0 = 1, spectral at p0 = inf."""
+    if not p0 >= 1:
         raise ValueError("p0 must be >= 1")
     sv = _svdvals(A.matrix)
-    return float(np.sum(sv**p0) ** (1.0 / p0))
+    if sv[0] == 0:
+        return 0.0
+    # s_1 (sum (s_k / s_1)^p0)^{1/p0} neither overflows nor underflows at large p0
+    return float(sv[0] * np.sum((sv / sv[0]) ** p0) ** (1.0 / p0))
 
 
 def fock_p_norm(params: FockParams, coeffs: np.ndarray, p: float):

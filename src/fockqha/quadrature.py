@@ -33,15 +33,13 @@ from ._output import write_csv
 class GaussGrid:
     """Quadrature nodes in C^n with positive weights.
 
-    nodes has shape (P, n) complex; weights has shape (P,).
-    measure is a human-readable tag, e.g. "gaussian(t=1.0)" or
-    "lebesgue(W=8.0, m=40)".  Both arrays are read-only copies, since
-    the grid builders cache and share their grids.
+    nodes has shape (P, n) complex; weights has shape (P,).  Both arrays
+    are read-only copies, since the grid builders cache and share their
+    grids.
     """
 
     nodes: np.ndarray
     weights: np.ndarray
-    measure: str
 
     def __post_init__(self):
         for name, dtype in (("nodes", None), ("weights", float)):
@@ -98,7 +96,7 @@ def gaussian_grid(n: int, t: float, Q: int) -> GaussGrid:
     nodes = np.sqrt(t) * x
     weights = w / np.sqrt(np.pi)
     z, wt = _tensorize(nodes, weights, n)
-    return GaussGrid(z, wt, measure=f"gaussian(t={t})")
+    return GaussGrid(z, wt)
 
 
 def hermite_dv_grid(n: int, tau: float, Q: int, center=0.0) -> GaussGrid:
@@ -114,7 +112,7 @@ def hermite_dv_grid(n: int, tau: float, Q: int, center=0.0) -> GaussGrid:
     x, w = np.polynomial.hermite.hermgauss(Q)
     z, wt = _tensorize(np.sqrt(tau) * x, np.sqrt(tau) * w * np.exp(x**2), n)
     center = np.broadcast_to(np.asarray(center, dtype=complex), (n,))
-    return GaussGrid(z + center, wt, measure=f"hermite-dV(tau={tau}, Q={Q})")
+    return GaussGrid(z + center, wt)
 
 
 def _legendre_rule(W: float, m: int):
@@ -131,7 +129,7 @@ def _legendre_rule(W: float, m: int):
 def lebesgue_grid(W: float, m: int, n: int) -> GaussGrid:
     """Tensor Gauss-Legendre grid for dV on the window [-W, W]^{2n}."""
     z, wt = _tensorize(*_legendre_rule(W, m), n)
-    return GaussGrid(z, wt, measure=f"lebesgue(W={W}, m={m})")
+    return GaussGrid(z, wt)
 
 
 def integrate(grid: GaussGrid, f) -> complex:

@@ -66,26 +66,42 @@ def test_invalid_stage():
 
 
 def test_fit_escalates_the_ridge_when_the_solve_fails(monkeypatch):
-    solve, calls = scipy.linalg.solve, []
+    solve, calls = np.linalg.solve, []
 
     def fail_once(*args, **kwargs):
         calls.append(1)
         if len(calls) == 1:
-            raise scipy.linalg.LinAlgError("not positive definite")
+            raise np.linalg.LinAlgError("Singular matrix")
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "solve", fail_once)
+    monkeypatch.setattr(np.linalg, "solve", fail_once)
     with pytest.warns(UserWarning, match="ridge escalated to 1.0e-06"):
         fit = fit_heat_kernel(P, 2)
     assert len(calls) == 2 and fit.ridge == 1e-6
     assert np.sum(fit.coefficients) == pytest.approx(1.0, abs=1e-12)
 
     def always_fail(*args, **kwargs):
-        raise scipy.linalg.LinAlgError("not positive definite")
+        raise np.linalg.LinAlgError("Singular matrix")
 
-    monkeypatch.setattr(scipy.linalg, "solve", always_fail)
+    monkeypatch.setattr(np.linalg, "solve", always_fail)
     with pytest.raises(RuntimeError, match="ill-conditioned"):
         fit_heat_kernel(P, 2)
+
+
+@pytest.mark.parametrize("N", [2, 4, 8])
+def test_fit_coefficients_are_constant_on_lattice_orbits(N):
+    # the fit is solved for one coefficient per orbit of the lattice's
+    # symmetries, so z -> i z and conjugation map each coefficient onto an
+    # exactly equal one
+    fit = fit_heat_kernel(P, N)
+    pitch = 0.5 * np.sqrt(P.t / N)
+    index = {(round(z.real / pitch), round(z.imag / pitch)): j for j, z in enumerate(fit.nodes[:, 0])}
+    assert len(index) == fit.nodes.shape[0]
+    c = fit.coefficients
+    for (p, q), j in index.items():
+        assert c[index[(-q, p)]] == c[j]  # i z
+        assert c[index[(p, -q)]] == c[j]  # conj(z)
+    assert np.unique(c).size < fit.nodes.shape[0] / 6
 
 
 def _dense_fit(params, N):
@@ -112,7 +128,8 @@ def _dense_fit(params, N):
 def test_factored_fit_matches_dense_assembly(N):
     # same quadrature, same least-squares problem: only the summation order
     # differs, and the 1e-8-ridge normal equations amplify its roundoff to
-    # relative coefficient deltas of 7e-8 (N = 2) and 1.9e-7 (N = 4)
+    # relative coefficient deltas of 9.4e-8 (N = 2) and 1.5e-7 (N = 4) on
+    # one BLAS thread, 5.7e-8 and 3.2e-7 on two
     fit = fit_heat_kernel(P, N)
     nodes, c, resid = _dense_fit(P, N)
     assert np.array_equal(fit.nodes[:, 0], nodes)
@@ -123,7 +140,8 @@ def test_factored_fit_matches_dense_assembly(N):
 
 def test_fit_builds_no_dense_design_matrix():
     # the dense assembly peaks at 239 MB here (6400 x 1117 complex design
-    # matrix and two real copies); the factored one at about 21 MB
+    # matrix and two real copies); the factored one, solved on the 156
+    # lattice orbits, at about 6 MB
     tracemalloc.start()
     try:
         fit_heat_kernel(P, 8)
@@ -157,10 +175,9 @@ print(rss_mb() - rss0, peak_mb() - peak0)
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmRSS from /proc")
 def test_fit_returns_its_normal_matrix_memory():
     # a fresh interpreter, so that no earlier test has shaped the heap; the
-    # 1117 x 1117 normal matrix of N = 8 (10 MB) is the only large array,
-    # and it is unmapped on release: 3.8 MB stay resident and the peak
-    # rises 12 MB, where the malloc-heap assembly kept 39 MB resident and
-    # peaked 38 MB higher
+    # fit solves for one coefficient per lattice orbit (156 at N = 8), and
+    # its largest arrays are the orbit indicators and their Gram products
+    # (1.7 MB each at N = 8): 2.1 MB stay resident and the peak rises 4.9 MB
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.getenv("PYTHONPATH")]))}
     res = subprocess.run(

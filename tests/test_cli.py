@@ -172,6 +172,26 @@ def test_unknown_sweep_kind(capsys):
     assert run_cli(["--D", "10", "--Q", "14", "sweep", "nonsense"]) == 2
 
 
+@pytest.mark.parametrize(
+    "kind, symbol",
+    [("invariance", "radail"), ("invariance", "rank-one:0"), ("quantization", "radial"),
+     ("approx-identity", "horizontal")],
+)
+def test_sweep_rejects_a_symbol_it_does_not_read(kind, symbol, tmp_path, capsys):
+    argv = ["--D", "8", "--Q", "10", "--outdir", str(tmp_path), "sweep", kind, "--symbol", symbol]
+    assert run_cli(argv) == 2
+    assert "--symbol" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("symbol", ["", "horizontal", "radial"])
+def test_invariance_sweep_accepts_its_symbols(symbol, tmp_path, capsys):
+    argv = ["--D", "8", "--Q", "10", "--outdir", str(tmp_path), "sweep", "invariance", "--symbol", symbol]
+    assert run_cli(argv) == 0
+    doc = json.loads((tmp_path / "sweep_invariance.json").read_text())
+    assert doc["metadata"].get("negative_control", False) == (symbol == "radial")
+
+
 def test_missing_subcommand(capsys):
     assert run_cli(["--D", "10"]) == 2
 

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -148,8 +149,19 @@ def test_schatten_examples():
     rng = np.random.default_rng(7)
     A = FockOperator(P1, rng.standard_normal((P1.dim, P1.dim)))
     assert schatten_norm(A, 2.0) ** 2 == pytest.approx(np.sum(np.abs(A.matrix) ** 2))
-    with pytest.raises(ValueError):
-        schatten_norm(A, 0.5)
+    for p0 in [0.5, np.nan]:
+        with pytest.raises(ValueError, match="p0"):
+            schatten_norm(A, p0)
+
+
+@pytest.mark.parametrize("c", [3.0, 0.5])
+@pytest.mark.parametrize("p0", [700.0, 2000.0, np.inf])
+def test_schatten_norm_at_large_and_infinite_p0(c, p0):
+    # c**p0 overflows or underflows: 3**700 and 0.5**2000 are beyond a double
+    A = FockOperator(P1, c * np.eye(P1.dim))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert schatten_norm(A, p0) == pytest.approx(c * P1.dim ** (1.0 / p0), rel=1e-14)
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
