@@ -150,10 +150,12 @@ def build_symbol_from_berezin(A: FockOperator, fit: HeatKernelFit) -> Symbol:
     Nodes outside the Berezin trusted window are flagged with a warning
     (evaluation still proceeds; the bias grows with |z|).
     """
-    radius = A.params.trusted_radius
-    outside = [z for z in fit.nodes if np.sqrt(np.sum(np.abs(z) ** 2)) > radius]
+    # |z| as sqrt(sum |z_k|^2): np.linalg.norm rounds the lattice nodes that
+    # lie on the window's edge differently and would change the count
+    norms = np.sqrt(np.sum(np.abs(fit.nodes) ** 2, axis=1))
+    outside = np.count_nonzero(norms > A.params.trusted_radius)
     if outside:
-        _warn(f"{len(outside)} fit nodes lie outside the trusted Berezin window")
+        _warn(f"{outside} fit nodes lie outside the trusted Berezin window")
     return BerezinTranslateSum(A, fit.nodes, fit.coefficients)
 
 

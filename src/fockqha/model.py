@@ -113,13 +113,26 @@ def _log_norm_factors(params: FockParams) -> np.ndarray:
     return out
 
 
+def _point_rows(params: FockParams, points) -> np.ndarray:
+    """points as a complex (P, n) array; one point of shape (n,) is one row.
+
+    Any other shape raises ValueError: a flat array of P points at n = 1,
+    or rows of the wrong length, would otherwise be read as other points.
+    """
+    points = np.asarray(points, dtype=complex)
+    if points.shape == (params.n,):
+        points = points[None, :]
+    if points.ndim != 2 or points.shape[1] != params.n:
+        raise ValueError(f"points must have shape (P, {params.n}), got {points.shape}")
+    return points
+
+
 def basis_matrix(params: FockParams, points: np.ndarray) -> np.ndarray:
     """Evaluate all basis elements at many points: E[j, i] = e_{alpha_j}(points[i]).
 
-    points: (P, n) complex array.
+    points: (P, n) complex array, or one point of shape (n,).
     """
-    points = np.atleast_2d(np.asarray(points, dtype=complex))
-    return _basis_rows(params, points, np.arange(params.dim))
+    return _basis_rows(params, _point_rows(params, points), np.arange(params.dim))
 
 
 def _basis_rows(params: FockParams, points: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -141,7 +154,7 @@ def _basis_rows(params: FockParams, points: np.ndarray, rows: np.ndarray) -> np.
     return E
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=1)
 def _grid_basis(params: FockParams):
     """The plane factor of the Gaussian grid: one-variable basis values on one plane.
 
@@ -151,8 +164,11 @@ def _grid_basis(params: FockParams):
     Returns (e, b), both (D + 1) x Q^2: e[a, i] = e_a(x_i) on the plane's
     nodes x_i and b = conj(e) * plane weights, so that the plane Gram
     matrix is b @ e.T.  At n = 1 the plane is the whole grid and
-    <f e_b, e_a> = (b * f) @ e.T.  Both are cached and shared, so they
-    are read-only.
+    <f e_b, e_a> = (b * f) @ e.T.  Both are read-only, because they are
+    cached and shared.  The cache keeps the most recent model only: the
+    pair takes 2 (D + 1) Q^2 16 bytes (2.3 MB at D = 40, Q = 42), and a
+    sweep that rebuilds the model per weight t would otherwise keep one
+    pair per t.
     """
     plane = FockParams(1, params.t, params.D, params.Q)
     grid = plane.grid()
