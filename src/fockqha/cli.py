@@ -5,9 +5,15 @@ the flag and help text of the keys that have a flag.  A value comes from
 the default, then an optional flat key=value file with dotted section
 names (model.D=24, run.seed=3, ...), then the flag; the ``tol.*`` keys are
 set from a file only.  ``--print-config`` dumps the fully resolved form.
-Each subcommand binds its handler ``cmd_*(cfg, args)`` in
-``build_parser``.  Exit codes: 0 success, 1 tolerance failure, 2 usage or
-configuration error.
+Each subcommand binds its handler ``cmd_*(cfg, params, args)`` in
+``build_parser``.  A handler computes, writes its CSV files, prints its
+lines and returns ``(status, report_name, payload)``.  ``main`` runs it
+with the package's warnings collected as flags, writes the JSON report
+as ``{"config", "flags", **payload}`` and then prints one ``flag`` line
+per flag.  ``export-operator`` names no report: ``operator.json`` is a
+``load_operator`` document, and its ``meta`` keeps the config.  Exit
+codes: 0 success, 1 tolerance failure, 2 usage or configuration error,
+which writes no report.
 
 Determinism: the seed fixes every randomized choice, and importing
 ``fockqha`` defaults the BLAS thread-count variables to 1 before numpy
@@ -177,193 +183,144 @@ def parse_target(spec: str, params):
     raise ConfigError(f"unknown target kind {kind!r} (toeplitz | weyl | rank-one)")
 
 
-def cmd_verify(cfg, args) -> int:
+def cmd_verify(cfg, params, args):
     """Run the identity suites; exit 0 iff every residual passes."""
-    params = _build_model(cfg)
     conv_cfg = default_config(params)
-    with _warnings_as_flags() as flags:
-        rng = np.random.default_rng(cfg["run.seed"])
-        results = []  # (identity, operands, residual, tolerance)
+    rng = np.random.default_rng(cfg["run.seed"])
+    results = []  # (identity, operands, residual, tolerance)
 
-        # the plane Gram matrix; toeplitz-of-one checks the full n-variable one
-        e, b = _grid_basis(params)
-        plane_defect = np.max(np.abs(b @ e.T - np.eye(params.D + 1)))
-        results.append(("orthonormality", "basis Gram matrix", plane_defect, cfg["tol.identity"]))
-        eye = np.eye(params.dim)
-        T1 = toeplitz(params, Constant(1.0, n=params.n)).matrix
-        results.append(
-            ("toeplitz-of-one", "T_1 vs identity", np.max(np.abs(T1 - eye)), cfg["tol.identity"])
-        )
+    # the plane Gram matrix; toeplitz-of-one checks the full n-variable one
+    e, b = _grid_basis(params)
+    plane_defect = np.max(np.abs(b @ e.T - np.eye(params.D + 1)))
+    results.append(("orthonormality", "basis Gram matrix", plane_defect, cfg["tol.identity"]))
+    eye = np.eye(params.dim)
+    T1 = toeplitz(params, Constant(1.0, n=params.n)).matrix
+    results.append(
+        ("toeplitz-of-one", "T_1 vs identity", np.max(np.abs(T1 - eye)), cfg["tol.identity"])
+    )
 
-        # z and w repeat z0 and w0 on every axis; the phase is e^{-i Im<z, w>/t}
-        z0, w0 = 0.5, 0.25 + 0.25j
-        z, w = np.full(params.n, z0, dtype=complex), np.full(params.n, w0, dtype=complex)
-        lhs = weyl(params, z) @ weyl(params, w)
-        phase = np.exp(-1j * np.imag(np.vdot(w, z)) / params.t)
-        rhs = phase * weyl(params, z + w)
-        commutation = trusted_norm(lhs - rhs)
-        results.append(("weyl-commutation", f"z={z0}, w={w0}", commutation, cfg["tol.weyl"]))
+    # z and w repeat z0 and w0 on every axis; the phase is e^{-i Im<z, w>/t}
+    z0, w0 = 0.5, 0.25 + 0.25j
+    z, w = np.full(params.n, z0, dtype=complex), np.full(params.n, w0, dtype=complex)
+    lhs = weyl(params, z) @ weyl(params, w)
+    phase = np.exp(-1j * np.imag(np.vdot(w, z)) / params.t)
+    rhs = phase * weyl(params, z + w)
+    commutation = trusted_norm(lhs - rhs)
+    results.append(("weyl-commutation", f"z={z0}, w={w0}", commutation, cfg["tol.weyl"]))
 
-        k0 = kernel_coefficients(params, np.full(params.n, 0.3))
-        c = rng.standard_normal(params.dim) + 1j * rng.standard_normal(params.dim)
-        decay = np.exp(-0.3 * np.arange(params.dim))
-        v = FockVector(params, c * decay / np.linalg.norm(c * decay))
-        A = rank_one(k0, k0)
-        Bop = rank_one(v, v)
-        trace = trace_identity_residual(A, Bop, conv_cfg)
-        results.append(("trace-identity", "rank-one pair", trace, cfg["tol.trace"]))
+    k0 = kernel_coefficients(params, np.full(params.n, 0.3))
+    c = rng.standard_normal(params.dim) + 1j * rng.standard_normal(params.dim)
+    decay = np.exp(-0.3 * np.arange(params.dim))
+    v = FockVector(params, c * decay / np.linalg.norm(c * decay))
+    A = rank_one(k0, k0)
+    Bop = rank_one(v, v)
+    trace = trace_identity_residual(A, Bop, conv_cfg)
+    results.append(("trace-identity", "rank-one pair", trace, cfg["tol.trace"]))
 
-        f = Gaussian(center=0.3, width=2.0, n=params.n)
-        dualities = adjoint_duality_residuals(f, A, Bop, identity_operator(params), conv_cfg)
-        for name, r in zip(("duality-1", "duality-2", "duality-3"), dualities):
-            results.append((name, "gaussian / rank-one operands", r, cfg["tol.duality"]))
+    f = Gaussian(center=0.3, width=2.0, n=params.n)
+    dualities = adjoint_duality_residuals(f, A, Bop, identity_operator(params), conv_cfg)
+    for name, r in zip(("duality-1", "duality-2", "duality-3"), dualities):
+        results.append((name, "gaussian / rank-one operands", r, cfg["tol.duality"]))
 
-        T_direct = toeplitz(params, f).matrix
-        T_conv = toeplitz_via_convolution(f, params, conv_cfg).matrix
-        rel = np.linalg.norm(T_direct - T_conv) / np.linalg.norm(T_direct)
-        results.append(("two-pipeline-toeplitz", "gaussian symbol", rel, cfg["tol.pipeline"]))
+    T_direct = toeplitz(params, f).matrix
+    T_conv = toeplitz_via_convolution(f, params, conv_cfg).matrix
+    rel = np.linalg.norm(T_direct - T_conv) / np.linalg.norm(T_direct)
+    results.append(("two-pipeline-toeplitz", "gaussian symbol", rel, cfg["tol.pipeline"]))
 
     records = [
         {"identity": name, "operands": ops, "residual": float(r), "cfg": {"tolerance": tol}}
         for name, ops, r, tol in results
     ]
     failing = [name for name, _, r, tol in results if not r <= tol]
-    write_json(
-        _outpath(cfg, "verify_report.json"),
-        {"config": cfg, "records": records, "flags": flags, "passed": not failing},
-    )
     for name, _, r, tol in results:
         print(f"{'pass' if r <= tol else 'FAIL'}  {name}: residual {r:.3e}")
-    for fl in flags:
-        print(f"flag  {fl}")
     if failing:
         print(f"verification failed: {', '.join(failing)}", file=sys.stderr)
-        return 1
-    return 0
+    return (1 if failing else 0), "verify_report.json", {"records": records, "passed": not failing}
 
 
-def cmd_approx(cfg, args) -> int:
-    params = _build_model(cfg)
+def cmd_approx(cfg, params, args):
     if params.n != 1:
         raise ConfigError("approx fits heat kernels for n = 1 only")
-    with _warnings_as_flags() as flags:
-        A = parse_target(args.target, params)
-        report = toeplitz_approximation(A, [1, 2, 4, 8], target=args.target)
+    A = parse_target(args.target, params)
+    report = toeplitz_approximation(A, [1, 2, 4, 8], target=args.target)
     report.to_csv(_outpath(cfg, "approx_report.csv"))
-    write_json(
-        _outpath(cfg, "approx_report.json"),
-        {"config": cfg, "report": report.as_dict(), "flags": flags},
-    )
     for st in report.stages:
         print(f"N={st.N}  l1={st.fit.l1_residual:.4e}  op_error={st.op_error:.4e}")
-    for fl in flags:
-        print(f"flag  {fl}")
-    return 0
+    return 0, "approx_report.json", {"report": report.as_dict()}
 
 
-def cmd_sweep(cfg, args) -> int:
+def cmd_sweep(cfg, params, args):
     kind, symbol = args.kind, args.symbol
     # invariance reads one of two symbols, compactness a target spec, the others none
     accepted = {"invariance": ("", "horizontal", "radial"), "compactness": (symbol,)}
     if symbol not in accepted.get(kind, ("",)):
         raise ConfigError(f"sweep {kind} does not read --symbol {symbol!r}")
-    params = _build_model(cfg)
     meta = {"kind": kind, "symbol": symbol}
 
-    with _warnings_as_flags() as flags:
-        if kind == "quantization":
-            f = g = Gaussian(center=0.0, width=4.0, n=params.n)
-            op_recs, sup_recs = quantization_sweep(f, g, [1.0, 0.5, 0.25, 0.125], params)
-            write_sweep_csv(op_recs, _outpath(cfg, "sweep_quantization_op.csv"), ("t", "op_error"))
-            write_sweep_csv(
-                sup_recs, _outpath(cfg, "sweep_quantization_sup.csv"), ("t", "sup_error")
-            )
-            records = op_recs
-        elif kind == "approx-identity":
-            A = toeplitz(params, Gaussian(center=0.0, width=2.0, n=params.n))
-            pairs = approximate_identity_sweep(A, [1.0, 0.5, 0.25, 0.125])
-            records = [SweepRecord(s, e) for s, e in pairs]
-            write_sweep_csv(records, _outpath(cfg, "sweep_approx_identity.csv"), ("s", "op_error"))
-        elif kind == "compactness":
-            A = parse_target(symbol or "rank-one:0", params)
-            radii = np.linspace(0.0, params.trusted_radius, 9)
-            diag = compactness_diagnostic(A, radii)
-            records = diag.records()
-            write_sweep_csv(
-                records, _outpath(cfg, "sweep_compactness.csv"), ("radius", "berezin_max")
-            )
-        elif kind == "invariance":
-            if symbol == "radial":
-                r = np.linspace(0.0, 6.0, 25)
-                f = Radial(radii=r, values=np.exp(-r), n=params.n)
-                meta["negative_control"] = True
-                direction = 1.0
-            else:
-                f = Horizontal(width=1.0, n=params.n)
-                direction = 1j
-            res = invariance_check(f, params, [direction], [0.25, 0.5, 1.0])
-            records = [SweepRecord(1.0, res, meta)]
-            write_sweep_csv(
-                records, _outpath(cfg, "sweep_invariance.csv"), ("direction", "residual")
-            )
-            if meta.get("negative_control"):
-                print(f"negative control residual {res:.3e} (expected large)")
+    if kind == "quantization":
+        f = g = Gaussian(center=0.0, width=4.0, n=params.n)
+        op_recs, sup_recs = quantization_sweep(f, g, [1.0, 0.5, 0.25, 0.125], params)
+        write_sweep_csv(op_recs, _outpath(cfg, "sweep_quantization_op.csv"), ("t", "op_error"))
+        write_sweep_csv(sup_recs, _outpath(cfg, "sweep_quantization_sup.csv"), ("t", "sup_error"))
+        records = op_recs
+    elif kind == "approx-identity":
+        A = toeplitz(params, Gaussian(center=0.0, width=2.0, n=params.n))
+        pairs = approximate_identity_sweep(A, [1.0, 0.5, 0.25, 0.125])
+        records = [SweepRecord(s, e) for s, e in pairs]
+        write_sweep_csv(records, _outpath(cfg, "sweep_approx_identity.csv"), ("s", "op_error"))
+    elif kind == "compactness":
+        A = parse_target(symbol or "rank-one:0", params)
+        radii = np.linspace(0.0, params.trusted_radius, 9)
+        diag = compactness_diagnostic(A, radii)
+        records = diag.records()
+        write_sweep_csv(records, _outpath(cfg, "sweep_compactness.csv"), ("radius", "berezin_max"))
+    elif kind == "invariance":
+        if symbol == "radial":
+            r = np.linspace(0.0, 6.0, 25)
+            f = Radial(radii=r, values=np.exp(-r), n=params.n)
+            meta["negative_control"] = True
+            direction = 1.0
         else:
-            raise ConfigError(f"unknown sweep kind {kind!r}")
+            f = Horizontal(width=1.0, n=params.n)
+            direction = 1j
+        # the direction repeats on every axis, as parse_target's z does
+        res = invariance_check(f, params, [np.full(params.n, direction)], [0.25, 0.5, 1.0])
+        records = [SweepRecord(1.0, res, meta)]
+        write_sweep_csv(records, _outpath(cfg, "sweep_invariance.csv"), ("direction", "residual"))
+        if meta.get("negative_control"):
+            print(f"negative control residual {res:.3e} (expected large)")
+    else:
+        raise ConfigError(f"unknown sweep kind {kind!r}")
 
-        write_json(
-            _outpath(cfg, f"sweep_{kind}.json"),
-            {
-                "config": cfg,
-                "kind": kind,
-                "metadata": meta,
-                "records": [r.as_dict() for r in records],
-            },
-        )
     for r in records:
         print(f"{r.parameter:.6g}\t{r.quantity:.6e}")
-    for fl in flags:
-        print(f"flag  {fl}")
-    return 0
+    payload = {"kind": kind, "metadata": meta, "records": [r.as_dict() for r in records]}
+    return 0, f"sweep_{kind}.json", payload
 
 
-def cmd_export_operator(cfg, args) -> int:
-    params = _build_model(cfg)
-    with _warnings_as_flags() as flags:
-        A = parse_target(args.target, params)
+def cmd_export_operator(cfg, params, args):
+    A = parse_target(args.target, params)
     path = _outpath(cfg, "operator.json")
+    # a load_operator document, not a report: its meta keeps the config
     save_operator(A, path, extra={"target": args.target, "config": cfg})
     print(f"wrote {path}")
-    for fl in flags:
-        print(f"flag  {fl}")
-    return 0
+    return 0, None, None
 
 
-def cmd_export_berezin(cfg, args) -> int:
-    params = _build_model(cfg)
+def cmd_export_berezin(cfg, params, args):
     if params.n != 1:
         raise ConfigError("export-berezin writes n = 1 grids only")
+    A = parse_target(args.target, params)
+    try:
+        grid = berezin(A, m=args.grid_m)
+    except ValueError as exc:
+        raise ConfigError(f"bad --grid-m: {exc}") from exc
     path = _outpath(cfg, "berezin.csv")
-    with _warnings_as_flags() as flags:
-        A = parse_target(args.target, params)
-        try:
-            grid = berezin(A, m=args.grid_m)
-        except ValueError as exc:
-            raise ConfigError(f"bad --grid-m: {exc}") from exc
-        grid.to_csv(path)
-    write_json(
-        _outpath(cfg, "berezin.json"),
-        {
-            "config": cfg,
-            "target": args.target,
-            "window": float(params.trusted_radius),
-            "m": args.grid_m,
-        },
-    )
+    grid.to_csv(path)
     print(f"wrote {path}")
-    for fl in flags:
-        print(f"flag  {fl}")
-    return 0
+    payload = {"target": args.target, "window": float(params.trusted_radius), "m": args.grid_m}
+    return 0, "berezin.json", payload
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -421,10 +378,17 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 2
     try:
-        return args.handler(cfg, args)
+        params = _build_model(cfg)
+        with _warnings_as_flags() as flags:
+            status, name, payload = args.handler(cfg, params, args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if name is not None:
+        write_json(_outpath(cfg, name), {"config": cfg, "flags": flags, **payload})
+    for fl in flags:
+        print(f"flag  {fl}")
+    return status
 
 
 if __name__ == "__main__":

@@ -307,16 +307,23 @@ class GridSymbol(Symbol):
 
     @classmethod
     def sample(cls, func, window: float, m: int, n: int = 1) -> "GridSymbol":
-        """Sample an evaluable function on an m-per-axis grid, m >= 2."""
+        """Sample an evaluable function on an m-per-axis grid, m >= 2.
+
+        func sees one slice of the leading real axis (Re z_0) at a time, so
+        the points in memory at once number m^{2n-1}, not m^{2n}.
+        """
         if m < 2:
             raise ValueError(f"a sampling grid needs at least 2 points per axis, got {m}")
         ax = np.linspace(-window, window, m)
         axes = [ax] * (2 * n)
-        mesh = np.meshgrid(*axes, indexing="ij")
-        coords = np.stack([g.ravel() for g in mesh], axis=-1)
-        pts = coords[:, 0::2] + 1j * coords[:, 1::2]
-        vals = np.asarray(func(pts)).reshape([m] * (2 * n))
-        return cls(axes, vals, n=n)
+        rest = [g.ravel() for g in np.meshgrid(*axes[1:], indexing="ij")]
+        coords = [np.zeros(rest[0].size)] + rest
+        base = np.stack(coords[0::2], axis=-1) + 1j * np.stack(coords[1::2], axis=-1)
+        shift = np.eye(1, n)  # moves Re z_0 only
+        vals = np.empty((m, base.shape[0]), dtype=complex)
+        for i, x in enumerate(ax):
+            vals[i] = func(base + x * shift)
+        return cls(axes, vals.reshape([m] * (2 * n)), n=n)
 
     def to_csv(self, path) -> None:
         """Serialize as (Re z, Im z, Re value, Im value) rows (n = 1)."""

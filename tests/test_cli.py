@@ -139,6 +139,17 @@ def test_sweep_reports_warnings_as_flags(tmp_path):
     assert "runpy" not in proc.stderr and "Warning" not in proc.stderr
     flags = _flag_lines(proc.stdout)
     assert len(flags) == 1 and flags[0].startswith("kernel truncation defect")
+    assert json.loads((tmp_path / "sweep_compactness.json").read_text())["flags"] == flags
+
+
+def test_export_berezin_reports_warnings_as_flags(tmp_path):
+    argv = ["--D", "8", "--Q", "12", "--outdir", str(tmp_path), "export-berezin", "rank-one:1.5"]
+    proc = run_module(argv)
+    assert proc.returncode == 0, proc.stderr
+    assert "runpy" not in proc.stderr and "Warning" not in proc.stderr
+    flags = _flag_lines(proc.stdout)
+    assert len(flags) == 1 and flags[0].startswith("kernel truncation defect")
+    assert json.loads((tmp_path / "berezin.json").read_text())["flags"] == flags
 
 
 def test_malformed_approx_target(capsys):
@@ -268,7 +279,13 @@ def test_every_output_follows_the_writer_contract(tmp_path, capsys):
         assert code in ((0, 1) if command == ("verify",) else (0,)), command
         assert {p.name for p in outdir.iterdir()} == expected, command
         for path in outdir.glob("*.json"):
-            assert json.loads(path.read_text())["schema"] == "1", path.name
+            doc = json.loads(path.read_text())
+            assert doc["schema"] == "1", path.name
+            # every report records its config and flags; operator.json is a
+            # load_operator document, whose meta keeps the config
+            if path.name != "operator.json":
+                assert doc["config"]["model.D"] == 6, path.name
+                assert isinstance(doc["flags"], list), path.name
         for path in outdir.glob("*.csv"):
             with open(path, newline="") as fh:
                 rows = list(csv.reader(fh))[1:]

@@ -324,7 +324,15 @@ def test_conv_fun_op_is_exact_at_order_2d_plus_1(f):
 
 @pytest.mark.parametrize(
     "n, D, s",
-    [(1, 10, 1.0), (1, 10, 0.125), (1, 24, 1.0), (1, 24, 0.125), (2, 6, 0.125)],
+    [
+        (1, 10, 1.0),
+        (1, 10, 0.125),
+        (1, 24, 1.0),
+        (1, 24, 0.125),
+        (2, 6, 0.125),
+        (3, 2, 0.5),
+        (3, 2, 0.125),
+    ],
 )
 def test_radial_rule_matches_per_node_hermite_sum(n, D, s):
     # a centred Gaussian takes the radial rule; the oracle is the defining
@@ -336,7 +344,8 @@ def test_radial_rule_matches_per_node_hermite_sum(n, D, s):
     tau = p.t * s / (p.t + s)
     want = per_node_sum(p, f, A, *hermite_dv(tau, 2 * D + 1, n=n))
     got = conv_fun_op(f, A, ConvolutionConfig(1)).matrix
-    # measured <= 2.5e-15; numpy's laggauss weights would give 4e-14 at D = 24
+    # measured <= 2.5e-15 (1.0e-15 at n = 3); numpy's laggauss weights would
+    # give 4e-14 at D = 24
     assert np.max(np.abs(got - want)) < 2e-14 * np.max(np.abs(want))
 
 

@@ -6,6 +6,7 @@ import io
 import json
 
 import numpy as np
+import pytest
 
 import fockqha.model as M
 from fockqha.cli import main
@@ -106,6 +107,19 @@ def test_approx_identity_sweep_n2(tmp_path):
         CW = c[start : start + 512, None, None] * W
         conv += np.einsum("kac,cd,kbd->ab", CW, A.matrix, W.conj(), optimize=True)
     assert abs(errors[0] - trusted_norm(M.FockOperator(p, conv) - A)) < 1e-12
+
+
+@pytest.mark.parametrize("symbol", ["horizontal", "radial"])
+def test_invariance_sweep_n2(symbol, tmp_path):
+    # the shift direction repeats on every axis; the two symbols need not
+    # separate at this small D (0.33 and 0.16 at D = 6)
+    argv = ["--n", "2", "--D", "4", "--Q", "6", "--outdir", str(tmp_path),
+            "sweep", "invariance", "--symbol", symbol]  # fmt: skip
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    doc = json.loads((tmp_path / "sweep_invariance.json").read_text())
+    (record,) = doc["records"]
+    assert np.isfinite(record["quantity"]) and record["quantity"] > 0
 
 
 def _export(tmp_path, target):

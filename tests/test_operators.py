@@ -390,6 +390,37 @@ def test_berezin_values_memory_is_one_block():
     assert peak < 4 * _CHUNK_BYTES, peak
 
 
+@pytest.mark.parametrize(
+    "params, m", [(FockParams(1, 1.0, 24, 26), 41), (FockParams(2, 1.0, 4, 6), 21)]
+)
+def test_berezin_grid_matches_the_whole_grid_evaluation(params, m):
+    # the grid is sampled one slice of Re z_0 at a time; the whole grid in
+    # one call gives the same values up to the rounding of other blocks
+    A = weyl(params, np.full(params.n, 0.3 - 0.2j))
+    grid = berezin(A, m=m)
+    ax = np.linspace(-params.trusted_radius, params.trusted_radius, m)
+    mesh = np.meshgrid(*[ax] * (2 * params.n), indexing="ij")
+    coords = np.stack([g.ravel() for g in mesh], axis=-1)
+    whole = berezin_values(A, coords[:, 0::2] + 1j * coords[:, 1::2]).reshape(grid.values.shape)
+    assert np.max(np.abs(grid.values - whole)) <= 1e-15 * np.max(np.abs(whole))
+
+
+def test_berezin_grid_memory_is_one_slice():
+    # n = 2, D = 4, m = 21: 194,481 points, 3.0 MiB of values.  Forming
+    # every point at once peaked at 24.5 MiB of traced memory, one slice
+    # of Re z_0 at a time at 7.7 MiB
+    p = FockParams(2, 1.0, 4, 6)
+    A = weyl(p, [0.3, -0.2j])
+    berezin(A, m=3)  # warm the model's caches
+    tracemalloc.start()
+    try:
+        grid = berezin(A, m=21)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * grid.values.nbytes, peak
+
+
 @pytest.mark.parametrize("evaluate", [basis_matrix, berezin_values], ids=["basis", "berezin"])
 @pytest.mark.parametrize(
     "params, shape",
