@@ -38,7 +38,7 @@ from .model import (
     FockOperator,
     FockParams,
     _check_params,
-    multi_indices,
+    _pair_pick,
     parity_matrix,
     pc_operator,
 )
@@ -134,8 +134,6 @@ def _gauss_laguerre(n: int):
     those nodes (orders 7 to 61): 5.8e-15 relative at order 25, 3.8e-14
     at order 61.
     """
-    if n == 1:
-        return np.ones(1), np.ones(1)
     k = np.arange(1.0, n)
     x = np.linalg.eigvalsh(np.diag(2.0 * np.arange(n) + 1.0) - np.diag(k, 1) - np.diag(k, -1))
     fm, f = _laguerre_pair(n, x)
@@ -189,9 +187,7 @@ def _radial_conv(f: Gaussian, A: FockOperator) -> FockOperator:
     d, n = params.D + 1, params.n
     tau = params.t * f.width / (params.t + f.width)
     K, e = _radial_kernel(params, f.width)
-    idx = np.array(multi_indices(params))
-    # X[a_1, b_1, ..., a_n, b_n]; A[j, k] sits at a = alpha_j, b = beta_k per plane
-    pick = tuple(ix for k in range(n) for ix in (idx[:, k, None], idx[None, :, k]))
+    pick = _pair_pick(params)
     X = np.zeros((d, d) * n, dtype=complex)
     X[pick] = A.matrix
     for _ in range(n):

@@ -101,16 +101,16 @@ def multi_indices(params: FockParams):
     return idx
 
 
-@lru_cache(maxsize=128)
-def _log_norm_factors(params: FockParams) -> np.ndarray:
-    """log of sqrt(alpha! t^{|alpha|}) per basis index."""
-    idx = multi_indices(params)
-    out = np.empty(len(idx))
-    for j, alpha in enumerate(idx):
-        s = sum(math.lgamma(a + 1) for a in alpha)
-        out[j] = 0.5 * (s + sum(alpha) * math.log(params.t))
-    out.flags.writeable = False
-    return out
+def _pair_pick(params: FockParams) -> tuple:
+    """The 2n index arrays that pick a dim x dim matrix out of the degree-pair box.
+
+    The box X[a_1, b_1, ..., a_n, b_n] has one index pair per complex
+    plane, and entry [j, k] of the matrix sits at a = alpha_j and
+    b = beta_k on every plane; so X[pick] is the matrix and
+    X[pick] = M scatters M into the box.
+    """
+    idx = np.array(multi_indices(params))
+    return tuple(ix for k in range(params.n) for ix in (idx[:, k, None], idx[None, :, k]))
 
 
 def _point_rows(params: FockParams, points) -> np.ndarray:
@@ -147,10 +147,13 @@ def _basis_rows(params: FockParams, points: np.ndarray, rows: np.ndarray) -> np.
         for k in range(1, params.D + 1):
             tab[k] = tab[k - 1] * points[:, a]
         powers.append(tab)
-    E = powers[0][idx[:, 0]]
+    # log sqrt(alpha! t^{|alpha|}), the lgamma terms added axis by axis
+    lgamma = np.array([math.lgamma(k + 1) for k in range(params.D + 1)])
+    E, log_norm = powers[0][idx[:, 0]], lgamma[idx[:, 0]]
     for a in range(1, params.n):
         E *= powers[a][idx[:, a]]
-    E *= np.exp(-_log_norm_factors(params)[rows])[:, None]
+        log_norm = log_norm + lgamma[idx[:, a]]
+    E *= np.exp(-0.5 * (log_norm + idx.sum(axis=1) * math.log(params.t)))[:, None]
     return E
 
 
@@ -312,8 +315,6 @@ def _svdvals(M: np.ndarray) -> np.ndarray:
 
 def operator_norm_2(A: FockOperator) -> float:
     """Largest singular value (spectral norm on the truncated space)."""
-    if not np.any(A.matrix):
-        return 0.0
     return float(_svdvals(A.matrix)[0])
 
 
@@ -362,7 +363,7 @@ def fock_p_norm(params: FockParams, coeffs: np.ndarray, p: float):
     grid; no dim x Q^{2n} basis matrix is formed.  At n = 1 the box is
     the coefficient vector and the product is the dense one.
     """
-    Q, s = max(params.Q, 2), 2.0 * params.t / p
+    Q, s = params.Q, 2.0 * params.t / p
     coeffs = np.asarray(coeffs)
     plane = basis_matrix(FockParams(1, params.t, params.D, params.Q), gaussian_grid(1, s, Q).nodes)
     batch = coeffs.shape[:-1]

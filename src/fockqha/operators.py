@@ -30,6 +30,7 @@ from .model import (
     FockParams,
     _basis_rows,
     _grid_basis,
+    _pair_pick,
     _point_rows,
     basis_matrix,
     multi_indices,
@@ -37,13 +38,23 @@ from .model import (
 from .quadrature import gaussian_grid
 from .symbols import Gaussian, GridSymbol, Scale, Symbol, Translate
 
-# Byte budget of one block of dim x dim complex matrices in the batched
-# conjugations, of one block of shifted points in a heat transform, and of
-# one block of weighted rows in the last plane of a Toeplitz quadrature.
-# A block and its few temporaries set the peak memory of a convolution;
-# 1 MiB (about 100 matrices at D = 24) measured both lower peak memory and
-# shorter runs than 4 MiB, and the products stay large enough for BLAS.
+# Byte budget of one block of rows; _blocks is its one reader.  A row is
+# one point's dim x dim Weyl matrix in the batched conjugations, one
+# row's weighted plane (dim x Q^2) in the last plane of a Toeplitz
+# quadrature, one point's basis column in a Berezin transform, one
+# point's Q^{2n} shifted copies in a heat transform, and in a translated
+# Berezin sum one point's basis columns at all J translates (outer loop)
+# or one translate's basis column (inner loop).  A block and its few
+# temporaries set the peak memory of a convolution; 1 MiB (about 100
+# matrices at D = 24) measured both lower peak memory and shorter runs
+# than 4 MiB, and the products stay large enough for BLAS.
 _CHUNK_BYTES = 2**20
+
+
+def _blocks(count: int, row_bytes: int) -> list:
+    """The slices of range(count), in order, each within _CHUNK_BYTES and at least one row."""
+    step = max(1, _CHUNK_BYTES // row_bytes)
+    return [slice(start, min(start + step, count)) for start in range(0, count, step)]
 
 
 def _axis_blocks(z: np.ndarray, t: float, D: int) -> np.ndarray:
@@ -104,9 +115,9 @@ def weyl_matrices(params: FockParams, zs) -> np.ndarray:
         raise ValueError(f"points must have shape (P, {params.n}), got {zs.shape}")
     if params.n == 1:
         return _axis_blocks(zs[:, 0], params.t, params.D)
-    idx = np.array(multi_indices(params))
+    pick = _pair_pick(params)
     blocks = (
-        _axis_blocks(zs[:, k], params.t, params.D)[:, idx[:, k, None], idx[None, :, k]]
+        _axis_blocks(zs[:, k], params.t, params.D)[:, pick[2 * k], pick[2 * k + 1]]
         for k in range(params.n)
     )
     W = next(blocks)
@@ -133,9 +144,7 @@ def _conjugations(params: FockParams, zs: np.ndarray, A: np.ndarray):
     The block size follows from _CHUNK_BYTES.
     """
     d = params.dim
-    step = max(1, _CHUNK_BYTES // (16 * d * d))
-    for start in range(0, zs.shape[0], step):
-        rows = slice(start, min(start + step, zs.shape[0]))
+    for rows in _blocks(zs.shape[0], 16 * d * d):
         W = weyl_matrices(params, zs[rows])
         WA = (W.reshape(-1, d) @ A).reshape(W.shape)
         yield rows, W, WA
@@ -175,16 +184,10 @@ def toeplitz(params: FockParams, f) -> FockOperator:
         G = G.reshape(m, -1).T @ (b[:, None, :] * e[None, :, :]).reshape(d * d, m).T
     G = G.reshape(m, -1).T
     H = np.empty((G.shape[0], d, d), dtype=complex)
-    step = max(1, _CHUNK_BYTES // (16 * d * m))
-    for start in range(0, G.shape[0], step):
-        rows = slice(start, start + step)
+    for rows in _blocks(G.shape[0], 16 * d * m):
         H[rows] = ((b * G[rows, None, :]).reshape(-1, m) @ e.T).reshape(-1, d, d)
-    # H[a_1, b_1, ..., a_n, b_n]; M[j, k] picks a = alpha_j and b = beta_k per plane
-    idx = np.array(multi_indices(params))
-    H = H.reshape((d, d) * params.n)
-    return FockOperator(
-        params, H[tuple(ix for k in range(params.n) for ix in (idx[:, k, None], idx[None, :, k]))]
-    )
+    # H[a_1, b_1, ..., a_n, b_n] is the degree-pair box
+    return FockOperator(params, H.reshape((d, d) * params.n)[_pair_pick(params)])
 
 
 def berezin_values(A: FockOperator, points: np.ndarray) -> np.ndarray:
@@ -203,14 +206,13 @@ def berezin_values(A: FockOperator, points: np.ndarray) -> np.ndarray:
     """
     params = A.params
     points = _point_rows(params, points)
-    step = max(1, _CHUNK_BYTES // (16 * params.dim))
     out = np.empty(points.shape[0], dtype=complex)
-    for start in range(0, points.shape[0], step):
-        block = points[start : start + step]
+    for rows in _blocks(points.shape[0], 16 * params.dim):
+        block = points[rows]
         weights = np.exp(-np.sum(np.abs(block) ** 2, axis=1) / (2.0 * params.t))
         C = np.conj(basis_matrix(params, block)) * weights  # C[:, i] = coefficients of k_{z_i}
         raw = np.sum(np.conj(C) * (A.matrix @ C), axis=0)
-        out[start : start + step] = raw / np.sum(np.abs(C) ** 2, axis=0)
+        out[rows] = raw / np.sum(np.abs(C) ** 2, axis=0)
     return out
 
 
@@ -323,13 +325,11 @@ class BerezinTranslateSum(Symbol):
         mk = np.arange(C.shape[1])[:, None] * np.arange(4)
         phase = np.array([1, 1j, -1, -1j])[mk % 4]  # i^{mk}, exactly
         J = self.nodes.shape[0]
-        cap = max(1, _CHUNK_BYTES // (16 * d))
-        rstep, jstep = max(1, cap // J), min(J, cap)
         g = np.zeros((X.shape[0], C.shape[1]), dtype=complex)
-        for r0 in range(0, X.shape[0], rstep):
-            xs = X[r0 : r0 + rstep]
-            for j0 in range(0, J, jstep):
-                zs = self.nodes[j0 : j0 + jstep]
+        for r in _blocks(X.shape[0], 16 * d * J):
+            xs = X[r]
+            for j in _blocks(J, 16 * d):
+                zs = self.nodes[j]
                 # E = e(w) at w = x - z_j, in class order, and v = conj(E)
                 E = _basis_rows(params, (xs[:, None, :] - zs[None, :, :]).reshape(-1, n), perm)
                 V = np.conj(E)
@@ -343,8 +343,8 @@ class BerezinTranslateSum(Symbol):
                     P += S[(np.arange(4) + cb) % 4]  # ca - cb = k
                 Vr = V.view(float)
                 P /= np.einsum("ap,ap->p", Vr, Vr).reshape(-1, 2).sum(axis=1)
-                T = P.reshape(4 * xs.shape[0], -1) @ C[j0 : j0 + jstep]
-                g[r0 : r0 + rstep] += np.einsum("krm,mk->rm", T.reshape(4, xs.shape[0], -1), phase)
+                T = P.reshape(4 * xs.shape[0], -1) @ C[j]
+                g[r] += np.einsum("krm,mk->rm", T.reshape(4, xs.shape[0], -1), phase)
         return g
 
 
@@ -362,7 +362,8 @@ def berezin(A: FockOperator, window: float | None = None, m: int = 61) -> GridSy
 def heat_values(f, t: float, points: np.ndarray, Q: int = 40) -> np.ndarray:
     """Heat transform values (pi t)^{-n} integral f(w) exp(-|z-w|^2/t) dV(w), 0 < t < inf.
 
-    points has shape (P, n), and n is read from it.  For a Gaussian
+    points has shape (P, n), and n is read from it; a symbol on another
+    C^n raises ValueError.  For a Gaussian
     a exp(-|w - c|^2/W) the transform is the Gaussian
     a (W/(W+t))^n exp(-|z - c|^2/(W+t)) (Zhu, Analysis on Fock Spaces,
     GTM 263 (2012)), evaluated in closed form and exact to rounding.  For
@@ -381,15 +382,14 @@ def heat_values(f, t: float, points: np.ndarray, Q: int = 40) -> np.ndarray:
     if isinstance(f, Gaussian):
         W, n = f.width, points.shape[1]
         smoothed = replace(f, width=W + t, amplitude=f.amplitude * (W / (W + t)) ** n)
-        return smoothed.eval(points).astype(complex)
+        return smoothed(points).astype(complex)
     grid = gaussian_grid(points.shape[1], t, Q)
     S, n = grid.nodes.shape
-    step = max(1, _CHUNK_BYTES // (16 * n * S))
     out = np.empty(points.shape[0], dtype=complex)
-    for start in range(0, points.shape[0], step):
-        block = points[start : start + step]
+    for rows in _blocks(points.shape[0], 16 * n * S):
+        block = points[rows]
         vals = np.asarray(f((block[:, None, :] + grid.nodes[None, :, :]).reshape(-1, n)))
-        out[start : start + step] = vals.reshape(block.shape[0], S) @ grid.weights
+        out[rows] = vals.reshape(block.shape[0], S) @ grid.weights
     return out
 
 

@@ -125,7 +125,6 @@ def _legendre_rule(W: float, m: int):
     return W * x, W * w
 
 
-@lru_cache(maxsize=64)
 def lebesgue_grid(W: float, m: int, n: int) -> GaussGrid:
     """Tensor Gauss-Legendre grid for dV on the window [-W, W]^{2n}."""
     z, wt = _tensorize(*_legendre_rule(W, m), n)

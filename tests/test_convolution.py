@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 import scipy.special
 
+from fockqha import operators
 from fockqha.convolution import (
     ConvolutionConfig,
     _gauss_laguerre,
@@ -122,6 +123,23 @@ def test_operator_convolution_matches_per_point_trace():
     UBU = u_conjugate(B).matrix
     want = [np.trace(A.matrix @ alpha_op(FockOperator(p, UBU), z).matrix) for z in pts]
     assert np.max(np.abs(conv_op_op(A, B)(pts) - want)) < 1e-14
+
+
+def test_conjugation_blocks_only_move_the_boundaries(monkeypatch):
+    # one point per block against the default blocks, for conv_fun_op on its
+    # Hermite path and OperatorConvolution.eval; measured 6.3e-16 and 0 of max |entry|
+    p = FockParams(1, 1.0, 8, 10)
+    f = Gaussian(center=0.3 - 0.2j, width=1.5)
+    A = toeplitz(p, Gaussian(center=-0.4, width=2.0)) + 0.5 * rank_one(
+        kernel_coefficients(p, 0.2j), kernel_coefficients(p, 0.5)
+    )
+    B = rank_one(kernel_coefficients(p, 0.1), kernel_coefficients(p, -0.3j))
+    pts = np.linspace(-2.0, 2.0 - 1.0j, 30)[:, None]
+    want = conv_fun_op(f, A, default_config(p)).matrix, conv_op_op(A, B)(pts)
+    monkeypatch.setattr(operators, "_CHUNK_BYTES", 1)
+    got = conv_fun_op(f, A, default_config(p)).matrix, conv_op_op(A, B)(pts)
+    for g, w in zip(got, want):
+        assert np.max(np.abs(g - w)) <= 1e-15 * np.max(np.abs(w))
 
 
 def test_approximate_identity_two_point():
@@ -325,6 +343,8 @@ def test_conv_fun_op_is_exact_at_order_2d_plus_1(f):
 @pytest.mark.parametrize(
     "n, D, s",
     [
+        (1, 0, 0.5),
+        (2, 0, 0.125),
         (1, 10, 1.0),
         (1, 10, 0.125),
         (1, 24, 1.0),
@@ -344,8 +364,8 @@ def test_radial_rule_matches_per_node_hermite_sum(n, D, s):
     tau = p.t * s / (p.t + s)
     want = per_node_sum(p, f, A, *hermite_dv(tau, 2 * D + 1, n=n))
     got = conv_fun_op(f, A, ConvolutionConfig(1)).matrix
-    # measured <= 2.5e-15 (1.0e-15 at n = 3); numpy's laggauss weights would
-    # give 4e-14 at D = 24
+    # measured <= 2.5e-15 (1.0e-15 at n = 3, and 3.5e-16 and 1.7e-16 at D = 0,
+    # the order-1 rule); numpy's laggauss weights would give 4e-14 at D = 24
     assert np.max(np.abs(got - want)) < 2e-14 * np.max(np.abs(want))
 
 

@@ -140,6 +140,31 @@ def test_operator_norm_examples():
     assert operator_norm_2(zero) == 0.0
 
 
+@pytest.mark.parametrize(
+    "params", [FockParams(1, 1.0, 6, 8), FockParams(2, 1.0, 4, 6), FockParams(3, 1.0, 3, 5)]
+)
+def test_pair_pick_scatter_then_gather_is_exact(params):
+    rng, d = np.random.default_rng(22), params.dim
+    A = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    pick = M._pair_pick(params)
+    X = np.zeros((params.D + 1,) * (2 * params.n), dtype=complex)
+    X[pick] = A
+    assert np.array_equal(X[pick], A)
+    # every entry of A has a box entry of its own
+    assert np.count_nonzero(X) == A.size
+
+
+def test_pair_pick_places_an_n2_entry_by_hand():
+    # graded lex order at n = 2, D = 2: (0,0), (1,0), (0,1), (2,0), (1,1), (0,2)
+    p = FockParams(2, 1.0, 2, 4)
+    assert multi_indices(p)[1] == (1, 0) and multi_indices(p)[5] == (0, 2)
+    A = np.arange(p.dim * p.dim, dtype=complex).reshape(p.dim, p.dim)
+    X = np.zeros((3, 3, 3, 3), dtype=complex)
+    X[M._pair_pick(p)] = A
+    # entry [1, 5] pairs degree 1 with 0 on plane 1, and 0 with 2 on plane 2
+    assert X[1, 0, 0, 2] == A[1, 5]
+
+
 def test_schatten_examples():
     e0 = basis_vector(P1, 0)
     proj = rank_one(e0, e0)

@@ -328,6 +328,30 @@ def test_toeplitz_rejects_nonfinite_symbol():
         toeplitz(P, bad)
 
 
+@pytest.mark.parametrize(
+    "count, row_bytes", [(0, 16), (1, 16), (1000, 16 * 41), (9, 2**18), (3, 2 * _CHUNK_BYTES)]
+)
+def test_blocks_cover_the_rows_in_order(count, row_bytes):
+    blocks = operators._blocks(count, row_bytes)
+    assert [i for rows in blocks for i in range(count)[rows]] == list(range(count))
+    sizes = [len(range(count)[rows]) for rows in blocks]
+    # at least one row each, and more than one only within the budget
+    assert all(size >= 1 for size in sizes)
+    assert all(size * row_bytes <= _CHUNK_BYTES for size in sizes if size > 1)
+    if row_bytes > _CHUNK_BYTES:
+        assert sizes == [1] * count
+
+
+def test_toeplitz_blocks_only_move_the_boundaries(monkeypatch):
+    # one row per block against the default blocks; measured bit-identical
+    p = FockParams(2, 1.0, 6, 8)
+    f = _non_separable_symbols(2)[0]
+    want = toeplitz(p, f).matrix
+    monkeypatch.setattr(operators, "_CHUNK_BYTES", 1)
+    got = toeplitz(p, f).matrix
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
 def test_berezin_of_identity_is_one():
     pts = np.array([0.0, 1.0, 1.5j, 2.0 - 1.0j])[:, None]
     vals = berezin_values(identity_operator(P), pts)
@@ -559,6 +583,29 @@ def test_heat_values_matches_per_point_sum():
     want = [np.sum(grid.weights * f(grid.nodes + z[None, :])) for z in pts]
     got = heat_values(f, t, pts, Q=Q)
     assert np.max(np.abs(got - want)) < 1e-14
+
+
+def test_heat_values_blocks_only_move_the_boundaries(monkeypatch):
+    # one point per block against the default blocks; measured 8.4e-16 of max |value|
+    f = Gaussian(center=0.2 - 0.3j, width=1.5) + Polynomial(terms=[((1,), (1,), 0.1)])
+    rng = np.random.default_rng(9)
+    pts = (rng.standard_normal(20) + 1j * rng.standard_normal(20))[:, None]
+    want = heat_values(f, 0.7, pts)
+    monkeypatch.setattr(operators, "_CHUNK_BYTES", 1)
+    got = heat_values(f, 0.7, pts)
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize(
+    "f, shape",
+    [(heat_gaussian(1.0, n=2), (2, 1)), (Gaussian(width=1.0), (3, 2))],
+    ids=["n2-symbol", "n1-symbol"],
+)
+def test_heat_values_rejects_points_of_another_dimension(f, shape):
+    # the closed form of a Gaussian checks the dimension as the quadrature does
+    for g in (f, SymbolSum([f])):
+        with pytest.raises(ValueError, match="complex coordinates"):
+            heat_values(g, 1.0, np.zeros(shape))
 
 
 def test_heat_transform_fixes_linear_functions():
