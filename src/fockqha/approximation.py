@@ -17,13 +17,15 @@ Two steps realize the constructive scheme:
    matrix is formed; the numbers equal the dense assembly's to roundoff.
 2. For an operator A in the trusted class, build the symbol
    g_N = sum_j c_j * (Berezin transform of A)(. - z_j) and compare A
-   with the Toeplitz operator T_{g_N}.  g_N is evaluated as one batched
-   Berezin quadratic form per block of (point, translate) pairs, not one
-   Berezin pass per translate, and every fit lattice is closed under
-   z -> i z, which gives g_N at four points for the cost of one (the
-   docstring of operators.BerezinTranslateSum explains how).  It agrees
-   with the explicit sum of translates (the symbol's `parts`) to 1.4e-12
-   of max |g_N|.  Alongside runs the
+   with the Toeplitz operator T_{g_N}.  g_N is evaluated translates first,
+   not one Berezin pass per translate: for each point r one Gram matrix
+   H_r of the translated basis rows, weighted by c_j over their squared
+   norms, gives g_N(r) = <A, H_r>.  Every fit lattice is closed under
+   z -> i z and conjugation with coefficients equal on each orbit, so one
+   H_r gives g_N at all eight points of the orbit of r (the docstring of
+   operators.BerezinTranslateSum explains how).  It agrees with the
+   explicit sum of translates (the symbol's `parts`) to 2.0e-12 of
+   max |g_N|.  Alongside runs the
    baseline curve ||A - f_{t/N} * A||_op, which must dominate the error
    up to ||A|| times the fit residual (Young's inequality
    ||f * A|| <= ||f||_1 ||A|| has constant 1).

@@ -236,41 +236,49 @@ def _row_keys(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return f.view(np.dtype((np.void, 8 * f.shape[1])))[:, 0]
 
 
-def _times_i_index(z: np.ndarray) -> np.ndarray:
-    """For distinct rows z[k] of C^n, the row index of i z[k], or -1 if it is not a row.
+def _image_index(z: np.ndarray, image: np.ndarray) -> np.ndarray:
+    """For distinct rows z[k] of C^n, the row index of image[k] among them, or -1.
 
-    i z has coordinates (-Im z, Re z) exactly, so the match is by exact
-    coordinates.
+    The match is by exact coordinates, so an image formed by swapping and
+    negating parts (i z, conj z) finds its row whenever it is one.
     """
-    keys, turned = _row_keys(z.real, z.imag), _row_keys(-z.imag, z.real)
+    keys, images = _row_keys(z.real, z.imag), _row_keys(image.real, image.imag)
     order = np.argsort(keys)
-    pos = order[np.minimum(np.searchsorted(keys[order], turned), z.shape[0] - 1)]
-    return np.where(keys[pos] == turned, pos, -1)
+    pos = order[np.minimum(np.searchsorted(keys[order], images), z.shape[0] - 1)]
+    return np.where(keys[pos] == images, pos, -1)
 
 
 class BerezinTranslateSum(Symbol):
     """The symbol g(x) = sum_j c_j A~(x - z_j): weighted translates of a Berezin transform.
 
-    g is evaluated a block of (point, translate) pairs at a time, and the
-    rotation z -> i z gives four values for the cost of one.  With
-    v_alpha(w) = conj(w)^alpha / sqrt(alpha! t^{|alpha|}) the renormalised
-    Berezin value is A~(w) = v^H A v / v^H v (the Gaussian factor of k_w
-    cancels), and v_alpha(i^m w) = (-i)^{m |alpha|} v_alpha(w) exactly.
-    So v^H v is the same at all four rotations, and
-    v(i^m w)^H A v(i^m w) = sum_k i^{mk} P_k(w), where P_k sums
-    conj(v_a) A[a, b] v_b over the pairs with |a| - |b| = k (mod 4): one
-    product of A, its columns split by |b| mod 4, with v(w).  When the
-    nodes z_j are closed under z -> i z, with sigma(j) the index of i z_j,
-    g(i^m r) = sum_j c_{sigma^m(j)} A~(i^m (r - z_j)), so the pairs of one
-    point r give g at r, ir, -r and -ir.  Each point x is written
-    x = i^m r with the first coordinate of r in the quadrant Re > 0,
-    Im >= 0 (m = 0 when that coordinate is 0 or the nodes are not
-    closed); r = i^{-m} x only swaps and negates parts, so it is exact,
-    and g is computed once per distinct r.  A point's value does not
-    depend on the other points evaluated with it.
+    The sums are taken translates first.  With E_a(w) = w^alpha /
+    sqrt(alpha! t^{|alpha|}) the unscaled basis at w, the renormalised
+    Berezin value is A~(w) = sum_{a,b} A[a, b] E_a(w) conj(E_b(w)) / |E(w)|^2
+    (the Gaussian factor of k_w cancels).  So g(r) = <A, H_r>, the sum of
+    the entrywise product, with the d x d matrix
+    H_r = sum_j (c_j / |E(r - z_j)|^2) E(r - z_j) E(r - z_j)^H,
+    one product over the J translates for each point r.
+
+    E_a(i^m w) = i^{m|a|} E_a(w) and E_a(conj w) = conj(E_a(w)) exactly.
+    When the nodes are distinct, closed under z -> i z and z -> conj z, and
+    c is bit for bit equal on the images (as on every fit lattice), the
+    sum over j may be re-indexed by the image nodes, so
+    g(i^m r) = <A o Phi_m, H_r> with Phi_m[a, b] = i^{m(|a| - |b|)}, and
+    g(i^m conj r) = <(A o Phi_m)^T, H_r>: one H_r gives the eight values of
+    the orbit of r.  Each point x is folded into the octant
+    0 <= Im <= Re of its first coordinate (x = i^m r or x = i^m conj r)
+    by swapping and negating parts, which is exact, and H is built once
+    per distinct r.  Otherwise every distinct point is its own r and only
+    <A, H_r> is taken.  A point's value does not depend on the other
+    points evaluated with it.  The (point, translate) pairs are taken a
+    block at a time, and with no nodes g = 0.
 
     Against the sum of its `parts`, the explicit expansion, it agrees to
-    1.4e-12 of max |g| on the Theorem A grids (D = 24, N <= 8).
+    2.0e-12 / 1.1e-12 / 4.4e-13 of max |g| on the D = 24 grid at N = 8 for
+    the three Theorem A targets (T of e^{-|z|^2/2}, W_0.5, P_C), and to
+    3.6e-14 for a random A.  For scale, eps sum_j |c_j| = 1.4e-11 there
+    (eps = 2.2e-16): the translates cancel, and either order of the sums
+    rounds on that scale.
     """
 
     def __init__(self, A: FockOperator, nodes, coefficients):
@@ -285,66 +293,62 @@ class BerezinTranslateSum(Symbol):
         base = BerezinSymbol(self.A)
         return [Scale(Translate(base, z), c) for z, c in zip(self.nodes, self.coefficients)]
 
-    def _coefficient_rotations(self) -> np.ndarray:
-        """Columns c_{sigma^m(j)}, m = 0..3; only c if the nodes are not closed under z -> i z."""
+    def _symmetric(self) -> bool:
+        """Whether the nodes are distinct, closed under z -> i z and conj, and c equal on images."""
         c, z = self.coefficients, self.nodes
-        sigma = _times_i_index(z)
-        distinct = np.unique(_row_keys(z.real, z.imag)).size == z.shape[0]
-        if not (distinct and np.all(sigma >= 0)):
-            return c[:, None]
-        cols, j = [c], np.arange(c.size)
-        for _ in range(3):
-            j = sigma[j]
-            cols.append(c[j])
-        return np.stack(cols, axis=1)
+        if np.unique(_row_keys(z.real, z.imag)).size != z.shape[0]:
+            return False
+        images = (_image_index(z, 1j * z), _image_index(z, np.conj(z)))
+        return all(np.all(k >= 0) and np.array_equal(c[k], c) for k in images)
 
     def eval(self, points):
-        points = np.asarray(points, dtype=complex)
-        C = self._coefficient_rotations()
-        # m is the quadrant of the first coordinate: x = i^m r, r[0] in Re > 0, Im >= 0
-        a, b = points[:, 0].real, points[:, 0].imag
-        m = np.select([(a <= 0) & (b > 0), (a < 0) & (b <= 0), (a >= 0) & (b < 0)], [1, 2, 3])
-        m = m if C.shape[1] == 4 else np.zeros_like(m)
-        # a product with 1, -i, -1 or i swaps and negates parts, exactly
-        R = points * np.array([1, -1j, -1, 1j])[m][:, None]
+        params = self.A.params
+        points = _point_rows(params, points)
+        if self.nodes.shape[0] == 0:
+            return np.zeros(points.shape[0], dtype=complex)
+        A = self.A.matrix
+        if not self._symmetric():
+            R, col, F = points, 0, A.reshape(-1, 1)
+        else:
+            # m is the quadrant of the first coordinate: x = i^m y, y[0] in Re > 0, Im >= 0
+            a, b = points[:, 0].real, points[:, 0].imag
+            m = np.select([(a <= 0) & (b > 0), (a < 0) & (b <= 0), (a >= 0) & (b < 0)], [1, 2, 3])
+            # a product with 1, -i, -1 or i swaps and negates parts, exactly
+            R = points * np.array([1, -1j, -1, 1j])[m][:, None]
+            # above the diagonal r = i conj(y) swaps the parts, so x = i^(m+1) conj(r)
+            flip = R[:, 0].imag > R[:, 0].real
+            R[flip] = 1j * np.conj(R[flip])
+            col = np.where(flip, 4 + (m + 1) % 4, m)
+            deg = np.array(multi_indices(params)).sum(axis=1)
+            k = np.arange(4)[:, None, None] * (deg[:, None] - deg)
+            turned = A * np.array([1, 1j, -1, -1j])[k % 4]  # A o Phi_m, m = 0..3, exactly
+            F = np.concatenate([turned, turned.transpose(0, 2, 1)]).reshape(8, -1).T
         _, first, inverse = np.unique(
             _row_keys(R.real, R.imag), return_index=True, return_inverse=True
         )
-        return self._orbit_values(R[first], C)[inverse.reshape(-1), m]
+        return self._orbit_values(R[first], F)[inverse.reshape(-1), col]
 
-    def _orbit_values(self, X: np.ndarray, C: np.ndarray) -> np.ndarray:
-        """g(i^m x) at every row x of X, for the m of the columns of C: shape (R, C.shape[1])."""
+    def _orbit_values(self, X: np.ndarray, F: np.ndarray) -> np.ndarray:
+        """<F[:, k], H_x> at every row x of X and every column k of F: shape (R, F.shape[1])."""
         params = self.A.params
         d, n = params.dim, params.n
-        cls = np.array(multi_indices(params)).sum(axis=1) % 4
-        perm = np.argsort(cls, kind="stable")
-        bounds = np.searchsorted(cls[perm], np.arange(5))
-        A = self.A.matrix[np.ix_(perm, perm)]
-        blocks = [np.ascontiguousarray(A[:, bounds[c] : bounds[c + 1]]) for c in range(4)]
-        segments = (cls[perm][None, :] == np.arange(4)[:, None]).astype(float)  # (4, d)
-        mk = np.arange(C.shape[1])[:, None] * np.arange(4)
-        phase = np.array([1, 1j, -1, -1j])[mk % 4]  # i^{mk}, exactly
         J = self.nodes.shape[0]
-        g = np.zeros((X.shape[0], C.shape[1]), dtype=complex)
+        g = np.empty((X.shape[0], F.shape[1]), dtype=complex)
         for r in _blocks(X.shape[0], 16 * d * J):
             xs = X[r]
+            H = np.zeros((xs.shape[0], d, d), dtype=complex)
             for j in _blocks(J, 16 * d):
                 zs = self.nodes[j]
-                # E = e(w) at w = x - z_j, in class order, and v = conj(E)
-                E = _basis_rows(params, (xs[:, None, :] - zs[None, :, :]).reshape(-1, n), perm)
-                V = np.conj(E)
-                P = np.zeros((4, V.shape[1]), dtype=complex)
-                for cb in range(4):
-                    # S[ca] sums conj(v_a) A[a, b] v_b over |a| = ca, |b| = cb (mod 4),
-                    # a real product on the complex values viewed as pairs of reals
-                    Y = blocks[cb] @ V[bounds[cb] : bounds[cb + 1]]
-                    Y *= E
-                    S = (segments @ Y.view(float)).view(complex)
-                    P += S[(np.arange(4) + cb) % 4]  # ca - cb = k
-                Vr = V.view(float)
-                P /= np.einsum("ap,ap->p", Vr, Vr).reshape(-1, 2).sum(axis=1)
-                T = P.reshape(4 * xs.shape[0], -1) @ C[j]
-                g[r] += np.einsum("krm,mk->rm", T.reshape(4, xs.shape[0], -1), phase)
+                pairs = (xs[:, None, :] - zs[None, :, :]).reshape(-1, n)
+                E = _basis_rows(params, pairs, np.arange(d))  # (d, pairs), point-major pairs
+                Er = E.view(float)
+                norms = np.einsum("ap,ap->p", Er, Er).reshape(xs.shape[0], -1, 2).sum(axis=2)
+                E = E.reshape(d, xs.shape[0], -1).transpose(1, 0, 2)  # (point, a, node)
+                w = self.coefficients[j] / norms
+                H += (E * w[:, None, :]) @ np.conj(E).transpose(0, 2, 1)
+            # one vector-matrix product per point, so that its value does not
+            # depend on the block; a block-wide product rounds by block shape
+            g[r] = (H.reshape(xs.shape[0], 1, d * d) @ F)[:, 0]
         return g
 
 

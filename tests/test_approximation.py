@@ -29,7 +29,7 @@ from fockqha.model import (
     trusted_norm,
 )
 from fockqha import operators
-from fockqha.operators import toeplitz, weyl
+from fockqha.operators import BerezinTranslateSum, toeplitz, weyl
 from fockqha.quadrature import lebesgue_grid
 from fockqha.symbols import Gaussian, SymbolSum
 
@@ -276,10 +276,11 @@ def test_report_serialization(tmp_path):
     assert len(lines) == 3
 
 
-# The symbol is evaluated a block of (point, translate) pairs at a time, each
-# point rotated exactly into the first quadrant; its oracle is the sum of its
-# explicit parts c_j * A~(. - z_j), one Berezin call per part.
-# Bounds are relative to max |g|, with a few times the measured margin.
+# The symbol is built from one Gram matrix H_r of the translates per point
+# r, each point folded exactly into the octant 0 <= Im <= Re of its first
+# coordinate; its oracle is the sum of its explicit parts c_j * A~(. - z_j),
+# one Berezin call per part.  Bounds are relative to max |g|, with a few
+# times the measured margin.
 P24 = FockParams(1, 1.0, 24, 26)
 
 
@@ -294,10 +295,22 @@ def _symbol_deviation(sym, pts):
     return float(np.max(np.abs(g - ref)) / np.max(np.abs(ref)))
 
 
+def _count_gram_points(monkeypatch):
+    """A counter of the (point, translate) pairs whose basis rows the symbol evaluates."""
+    count, basis_rows = [0], operators._basis_rows
+
+    def counting(params, points, rows):
+        count[0] += points.shape[0]
+        return basis_rows(params, points, rows)
+
+    monkeypatch.setattr(operators, "_basis_rows", counting)
+    return count
+
+
 @pytest.mark.filterwarnings("ignore:.*trusted")
 @pytest.mark.parametrize("N", [1, 2, 4, 8])
 def test_symbol_matches_parts_on_the_toeplitz_grid(N):
-    # measured at N = 1 / 2 / 4 / 8: 9e-16 / 4.6e-14 / 4.7e-13 / 1.4e-12, the
+    # measured at N = 1 / 2 / 4 / 8: 1.9e-15 / 3.3e-14 / 3.7e-13 / 2.0e-12, the
     # worst of the three Theorem A targets and a random non-normal A
     fit = fit_heat_kernel(P24, N)
     targets = [
@@ -315,7 +328,7 @@ def test_symbol_matches_parts_on_the_toeplitz_grid(N):
 @pytest.mark.filterwarnings("ignore:.*trusted")
 def test_symbol_matches_parts_off_the_grid():
     # partial orbits (x, ix, -x without -ix), a full orbit with repeats, the
-    # origin and random points; measured 1e-14
+    # origin and random points; measured 8.8e-15
     rng = np.random.default_rng(5)
     sym = build_symbol_from_berezin(_random_operator(P24, 4), fit_heat_kernel(P24, 2))
     x, y = 0.7 - 1.3j, -0.4 + 0.9j
@@ -329,19 +342,68 @@ def test_symbol_matches_parts_off_the_grid():
 
 
 @pytest.mark.filterwarnings("ignore:.*trusted")
+def test_symbol_matches_parts_at_reflected_points(monkeypatch):
+    # x, its conjugate and their rotations, then points on the diagonal
+    # Re = Im and on the axes, where the fold's boundaries lie; measured 1.5e-14
+    fit = fit_heat_kernel(P24, 4)
+    sym = build_symbol_from_berezin(_random_operator(P24, 11), fit)
+    x = 0.9 + 0.35j
+    orbit = [u * z for z in (x, np.conj(x)) for u in (1, 1j, -1, -1j)]
+    diagonal = [a * u for a in (0.6, 1.7) for u in (1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j)]
+    axes = [a * u for a in (0.45, 2.2) for u in (1, 1j, -1, -1j)]
+    pts = np.array(orbit + diagonal + axes)[:, None]
+    assert _symbol_deviation(sym, pts) <= 1e-13
+    # the eight points of the orbit share one Gram matrix
+    count = _count_gram_points(monkeypatch)
+    sym.eval(pts[:8])
+    assert count[0] == fit.nodes.shape[0]
+
+
+@pytest.mark.filterwarnings("ignore:.*trusted")
+def test_symbol_without_orbit_constant_coefficients(monkeypatch):
+    # coefficients perturbed off orbit-constancy: the images of a point no
+    # longer share its value, so every distinct point is its own
+    # representative (676 Gram matrices per node, not 91); measured 1.1e-14
+    fit = fit_heat_kernel(P24, 2)
+    noise = np.random.default_rng(12).standard_normal(fit.coefficients.size)
+    c = fit.coefficients * (1.0 + 1e-6 * noise)
+    sym = build_symbol_from_berezin(_random_operator(P24, 12), replace(fit, coefficients=c))
+    count = _count_gram_points(monkeypatch)
+    g = sym.eval(P24.grid().nodes)
+    assert count[0] == P24.grid().nodes.shape[0] * fit.nodes.shape[0]
+    ref = SymbolSum(sym.parts).eval(P24.grid().nodes)
+    assert np.max(np.abs(g - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.filterwarnings("ignore:.*trusted")
+def test_symbol_builds_one_gram_matrix_per_folded_point(monkeypatch):
+    # the 676 nodes of the Q = 26 grid fold onto 91 octant representatives
+    # (169 if only the rotation were used); each costs one basis evaluation
+    # per translate
+    fit = fit_heat_kernel(P24, 8)
+    sym = build_symbol_from_berezin(weyl(P24, 0.5), fit)
+    count = _count_gram_points(monkeypatch)
+    sym.eval(P24.grid().nodes)
+    assert count[0] == 91 * fit.nodes.shape[0]
+
+
+@pytest.mark.filterwarnings("ignore:.*trusted")
 def test_symbol_value_does_not_depend_on_the_batch():
-    # a grid node alone and the same node inside the whole grid; measured 2.5e-15
+    # a grid node alone and the same node inside the whole grid, bit for
+    # bit; the picks include points reflected across the diagonal
     sym = build_symbol_from_berezin(weyl(P24, 0.5), fit_heat_kernel(P24, 4))
     nodes = P24.grid().nodes
     g = sym.eval(nodes)
     picks = np.random.default_rng(10).choice(nodes.shape[0], 40, replace=False)
+    z = nodes[picks, 0]
+    assert np.any(np.abs(z.imag) > np.abs(z.real))  # folded by the reflection
     alone = np.array([sym.eval(nodes[k : k + 1])[0] for k in picks])
-    assert np.max(np.abs(alone - g[picks])) <= 1e-14 * np.max(np.abs(g))
+    assert np.array_equal(alone, g[picks])
 
 
 @pytest.mark.filterwarnings("ignore:.*trusted")
 def test_symbol_matches_parts_on_an_odd_grid():
-    # Q odd puts a node at the origin, its own representative; measured 9.9e-15
+    # Q odd puts a node at the origin, its own representative; measured 8.9e-15
     params = FockParams(1, 1.0, 24, 27)
     assert np.any(params.grid().nodes == 0)
     sym = build_symbol_from_berezin(_random_operator(params, 6), fit_heat_kernel(params, 2))
@@ -349,8 +411,8 @@ def test_symbol_matches_parts_on_an_odd_grid():
 
 
 def test_symbol_matches_parts_in_two_variables():
-    # the N = 1 fit at n = 2: classes by total degree, every coordinate
-    # rotated; measured 6e-16 on the grid and on the shifted grid
+    # the N = 1 fit at n = 2: phases by total degree, every coordinate
+    # folded with the first; measured 1.2e-15 on the grid and on the shifted grid
     params = FockParams(2, 1.0, 6, 8)
     sym = build_symbol_from_berezin(_random_operator(params, 7), fit_heat_kernel(params, 1))
     for pts in (params.grid().nodes, params.grid().nodes + 0.3):
@@ -360,7 +422,7 @@ def test_symbol_matches_parts_in_two_variables():
 @pytest.mark.filterwarnings("ignore:.*trusted")
 def test_symbol_with_nodes_off_the_symmetric_lattice():
     # shifted nodes are not closed under z -> i z, so every point is its own
-    # representative; measured 9.4e-15
+    # representative; measured 9.5e-15
     fit = fit_heat_kernel(P24, 2)
     shifted = replace(fit, nodes=fit.nodes + (0.05 - 0.02j))
     sym = build_symbol_from_berezin(_random_operator(P24, 8), shifted)
@@ -371,17 +433,36 @@ def test_symbol_with_nodes_off_the_symmetric_lattice():
 def test_symbol_splits_the_nodes_of_a_large_fit(monkeypatch):
     # with a 16 KiB budget one block holds 40 of the 349 (point, node) pairs
     # of a point, so the nodes are split across blocks and the partial sums
-    # add up; measured 4e-15
+    # add up; measured 2.9e-15
     monkeypatch.setattr(operators, "_CHUNK_BYTES", 2**14)
     sym = build_symbol_from_berezin(_random_operator(P24, 9), fit_heat_kernel(P24, 2))
     pts = np.array([0.3 + 0.2j, -0.2 + 0.3j, -0.3 - 0.2j, 0.2 - 0.3j, 1.1, 0.0])[:, None]
     assert _symbol_deviation(sym, pts) <= 1e-13
 
 
+def test_symbol_with_no_nodes_is_zero():
+    params = FockParams(1, 1.0, 4, 6)
+    sym = BerezinTranslateSum(identity_operator(params), np.zeros((0, 1)), np.zeros(0))
+    assert np.array_equal(sym.eval(np.array([[0.5], [1j], [0.0]])), np.zeros(3))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_symbol_eval_validates_points(n):
+    # one point of shape (n,) is one row, as in berezin_values; rows of the
+    # wrong width and a flat array of several points are rejected
+    params = FockParams(n, 1.0, 4, 6)
+    sym = build_symbol_from_berezin(_random_operator(params, 13), fit_heat_kernel(params, 1))
+    point = np.full(n, 0.4 - 0.2j)
+    assert np.array_equal(sym.eval(point), sym.eval(point[None, :]))
+    for bad in (np.zeros((1, n + 1)), np.zeros(n + 2)):
+        with pytest.raises(ValueError, match="shape"):
+            sym.eval(bad)
+
+
 @pytest.mark.filterwarnings("ignore:.*trusted")
 def test_symbol_evaluation_memory():
     # one block of (point, translate) pairs is dim x 2234 complex values at
-    # D = 24, N = 8 (0.9 MB); measured peak 4.8 MiB for the whole evaluation
+    # D = 24, N = 8 (0.9 MB); measured peak 2.9 MiB for the whole evaluation
     sym = build_symbol_from_berezin(weyl(P24, 0.5), fit_heat_kernel(P24, 8))
     pts = P24.grid().nodes
     tracemalloc.start()
@@ -395,7 +476,7 @@ def test_symbol_evaluation_memory():
 
 @pytest.mark.filterwarnings("ignore:.*trusted")
 def test_op_error_matches_the_parts_route():
-    # measured: within 1.2e-13 for every Theorem A target and stage
+    # measured: within 3.4e-13 for every Theorem A target and stage
     A = weyl(P24, 0.5)
     report = toeplitz_approximation(A, [2, 8], target="weyl")
     for st in report.stages:
