@@ -261,9 +261,9 @@ def toeplitz_via_convolution(
 ) -> FockOperator:
     """Toeplitz operator through the convolution pipeline: R_t * f.
 
-    Independent of the Gaussian-quadrature construction in
-    operators.toeplitz; the two must agree in Frobenius norm within
-    the combined quadrature tolerance.
+    Independent of operators.toeplitz (a closed form for a Gaussian,
+    model-grid quadrature otherwise); the two must agree in Frobenius
+    norm within the combined quadrature tolerance.
     """
     return conv_fun_op(f, r_t_operator(params), cfg)
 

@@ -4,7 +4,7 @@ Three families of desk-scale experiments:
 
 * quantization sweeps: semiclassical limits ||T_f T_g - T_{fg}|| -> 0
   and ||fg - heat(fg)||_inf -> 0 as t -> 0, rebuilding the model per t
-  (the heat transform of a Gaussian product is closed form);
+  (Toeplitz matrices and heat transforms of Gaussians are closed forms);
 * compactness diagnostics: Berezin decay profiles on circles, together
   with the singular-value list (truncation makes every matrix compact,
   so only the decay profile is diagnostic);
@@ -76,13 +76,15 @@ def quantization_sweep(
 ) -> tuple[list, list]:
     """Semiclassical quantization errors per weight t.
 
-    For each t the model is rebuilt from scratch (basis, quadrature,
-    operators); no cross-t state survives.  Returns two record lists:
-    the operator-norm deficiency ||T_f T_g - T_{fg}||_op and the heat
-    sup-norm deficiency max |fg - heat(fg, t)| over the trusted window.
-    When f and g are Gaussians, fg is a Gaussian and its heat transform is
-    closed form (`heat_values`), so the sup records are exact to rounding;
-    otherwise they carry the error of Gauss-Hermite order Q.
+    For each t the model and its operators are rebuilt from scratch; no
+    cross-t state survives.  Returns two record lists: the operator-norm
+    deficiency ||T_f T_g - T_{fg}||_op and the heat sup-norm deficiency
+    max |fg - heat(fg, t)| over the trusted window.  When f and g are
+    Gaussians, fg is a Gaussian, so the three Toeplitz matrices and the
+    heat transform are closed forms (`toeplitz`, `heat_values`), no
+    quadrature grid is built, and both records are exact to rounding;
+    otherwise they carry the error of the model grid and of Gauss-Hermite
+    order Q.
     """
     fg = f * g
     op_records, sup_records = [], []

@@ -149,7 +149,10 @@ def _basis_rows(params: FockParams, points: np.ndarray, rows: np.ndarray) -> np.
         powers.append(tab)
     # log sqrt(alpha! t^{|alpha|}), the lgamma terms added axis by axis
     lgamma = np.array([math.lgamma(k + 1) for k in range(params.D + 1)])
-    E, log_norm = powers[0][idx[:, 0]], lgamma[idx[:, 0]]
+    log_norm = lgamma[idx[:, 0]]
+    # at n = 1 the table is the basis in graded order, so all rows in order are the table itself
+    whole = params.n == 1 and np.array_equal(rows, np.arange(params.dim))
+    E = powers[0] if whole else powers[0][idx[:, 0]]
     for a in range(1, params.n):
         E *= powers[a][idx[:, a]]
         log_norm = log_norm + lgamma[idx[:, a]]

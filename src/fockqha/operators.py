@@ -1,9 +1,13 @@
 """Weyl operators, Toeplitz operators, Berezin and heat transforms.
 
 Toeplitz matrices, Berezin and heat transforms are Gaussian quadratures
-of their defining integrals on the model grid; a Toeplitz quadrature is
-summed one complex plane at a time, and the heat transform of a Gaussian
-is its closed form.  Weyl matrices are not quadratures.
+of their defining integrals on the model grid, and a Toeplitz quadrature
+is summed one complex plane at a time.  The Toeplitz matrix and the heat
+transform of a Gaussian are closed forms instead, exact to rounding:
+the grid rule is not exact for a Gaussian (it misses the Toeplitz matrix
+of e^{-|w - 0.3|^2/2} by 1.4e-10 of max |T| at D = 24, Q = 26).
+
+Weyl matrices are not quadratures either.
 Their integrand is entire but not polynomial, so Gauss-Hermite order
 Q = D + 2 misses them by 9e-7 to 3e-5 per entry at D = 16-24, |z| <= 2,
 and each matrix cost a dim x Q^{2n} basis evaluation at shifted nodes.
@@ -156,12 +160,76 @@ def alpha_op(A: FockOperator, z) -> FockOperator:
     return FockOperator(A.params, W @ A.matrix @ W.conj().T)
 
 
+def _gaussian_plane(t: float, D: int, width: float, c: complex) -> np.ndarray:
+    """One plane's Toeplitz matrix of e^{-|w - c|^2/width}: (D + 1) x (D + 1), exact.
+
+    Completing the square, e^{-|w - c|^2/width} dmu_t(w) is
+    rho e^{-|c|^2/(width + t)} times the Gaussian probability measure of
+    variance rho t about t c/(width + t), with rho = width/(width + t).
+    Its moments E[w^b conj(w)^a] = sum_j C(a, j) C(b, j) j! (rho t)^j
+    (t c/(width + t))^(b-j) conj(t c/(width + t))^(a-j) give T = V V^H
+    with, for j <= a,
+    V[a, j] = S sqrt(a!)/(a - j)! conj(nu)^(a-j) sqrt(rho^j/j!)
+            = V[a - j, 0] sqrt(C(a, j) rho^j),
+    where nu = sqrt(t) c/(width + t) and S^2 = rho e^{-|c|^2/(width + t)}.
+    Every term of a row-column product has the phase of conj(nu)^a nu^b,
+    so nothing cancels.  Column 0, V[a, 0] = S conj(nu)^a/sqrt(a!), is a
+    running product from S, and the prefactor S is folded in first, so
+    every intermediate is an entry of V and nothing overflows:
+    sum_j |V[a, j]|^2 = T[a, a] <= 1.
+    """
+    rho = width / (width + t)
+    steps = np.empty(D + 1, dtype=complex)
+    steps[0] = math.sqrt(rho) * math.exp(-0.5 * abs(c) ** 2 / (width + t))
+    steps[1:] = math.sqrt(t) * np.conj(c) / (width + t) / np.sqrt(np.arange(1, D + 1))
+    column = np.cumprod(steps)
+    # Pascal's triangle, zero above the diagonal: exact in floats up to D = 57,
+    # finite up to D = 1029
+    binom = np.zeros((D + 1, D + 1))
+    binom[:, 0] = 1.0
+    for r in range(1, D + 1):
+        binom[r, 1:] = binom[r - 1, 1:] + binom[r - 1, :-1]
+    k = np.arange(D + 1)
+    V = column[np.maximum(k[:, None] - k, 0)] * np.sqrt(binom * rho**k)
+    return V @ V.conj().T
+
+
+def _gaussian_toeplitz(params: FockParams, f: Gaussian) -> np.ndarray:
+    """The exact Toeplitz matrix of a Gaussian: the product of its plane matrices.
+
+    The symbol and mu_t are products over the planes, and so is e_alpha,
+    so M[alpha, beta] = amplitude prod_k T_k[alpha_k, beta_k].
+    """
+    if f.n != params.n:
+        raise ValueError(f"a Gaussian on C^{f.n} has no Toeplitz matrix on C^{params.n}")
+    centers = np.broadcast_to(np.atleast_1d(np.asarray(f.center, dtype=complex)), (f.n,))
+    if not (np.isfinite(f.amplitude) and np.all(np.isfinite(centers))):
+        raise ValueError(f"non-finite Gaussian: amplitude {f.amplitude}, centre {f.center}")
+    pick = _pair_pick(params)
+    planes = (
+        _gaussian_plane(params.t, params.D, f.width, c)[pick[2 * k], pick[2 * k + 1]]
+        for k, c in enumerate(centers)
+    )
+    M = next(planes)
+    for T in planes:
+        M *= T
+    M *= f.amplitude
+    return M
+
+
 def toeplitz(params: FockParams, f) -> FockOperator:
     """Toeplitz matrix M[a, b] = integral of f e_b conj(e_a) dmu_t.
 
     f may be a Symbol or any vectorized callable on (P, n) points.
     Real-valued f gives a Hermitian matrix to roundoff; f == c gives
     c * identity.
+
+    A Gaussian takes its closed form (`_gaussian_toeplitz`) and builds no
+    grid: it agrees with a 40-digit mpmath sum of its moment series to
+    1e-14 of max |M| for D <= 40, |c_k| <= 5 and t from 0.05 to 1 (measured
+    2.4e-15).  A Gaussian on another C^n, or with a non-finite amplitude or
+    centre, raises ValueError.  Every other f takes quadrature on the model
+    grid, which is exact for polynomial symbols only.
 
     The Gaussian-grid sum is contracted one plane at a time (sum
     factorisation; Orszag, J. Comput. Phys. 37 (1980)), so no
@@ -176,6 +244,8 @@ def toeplitz(params: FockParams, f) -> FockOperator:
     bit for bit; a product against K rounds differently.  At n = 2 and 3
     it agrees with the dense sum over the Q^{2n} nodes to 2e-15 relative.
     """
+    if isinstance(f, Gaussian):
+        return FockOperator(params, _gaussian_toeplitz(params, f))
     e, b = _grid_basis(params)
     d, m = e.shape
     G = params.grid().evaluate(f)

@@ -83,6 +83,12 @@ class Gaussian(Symbol):
     def __post_init__(self):
         if not 0 < self.width < np.inf:
             raise ValueError(f"Gaussian width must be positive and finite, got {self.width}")
+        # a centre of another length would be broadcast or summed over the wrong axes
+        if np.ndim(self.center) != 0 and np.shape(self.center) != (self.n,):
+            raise ValueError(
+                f"Gaussian centre must be a scalar or have shape ({self.n},), "
+                f"got shape {np.shape(self.center)}"
+            )
 
     def eval(self, points):
         c = np.atleast_1d(np.asarray(self.center, dtype=complex))

@@ -102,6 +102,20 @@ def test_gaussian_rejects_a_width_that_is_not_positive_and_finite(width):
         heat_gaussian(width)
 
 
+@pytest.mark.parametrize("center, n", [([0.1, 0.2], 1), ([0.1], 2), (np.zeros((1, 2)), 2)])
+def test_gaussian_rejects_a_centre_of_another_length(center, n):
+    # [0.1, 0.2] at n = 1 summed both distances: 0.951 at 0, not e^{-0.01}
+    with pytest.raises(ValueError, match="centre"):
+        Gaussian(center=center, n=n)
+
+
+def test_gaussian_scalar_centre_repeats_on_every_axis():
+    pts = np.array([[0.0, 0.3j], [1.0 - 0.5j, -0.2]])
+    want = Gaussian(center=[0.3, 0.3], width=1.5, n=2)(pts)
+    assert np.array_equal(Gaussian(center=0.3, width=1.5, n=2)(pts), want)
+    assert Gaussian(center=[0.1])(0.0)[0] == pytest.approx(np.exp(-0.01))
+
+
 _coord = st.floats(-2.0, 2.0)
 _complex = st.builds(complex, _coord, _coord)
 
