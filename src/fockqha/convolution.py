@@ -26,6 +26,14 @@ so the angular integral keeps only the terms A[c, c - a + b] of entry
 of degree <= 2D in x = r^2 / t, with beta = 1 + t / w.  Gauss-Laguerre of
 order D + 1 integrates it exactly: D + 1 radial nodes per plane instead of
 (2D + 1)^2 Hermite nodes, and no conjugation by dim x dim matrices.
+
+On the Hermite rules a conjugation W_z A W_z^* costs 3 dim^2 r at the
+rank r of the operand instead of 2 dim^3: A = X Y^H is factored once by
+one SVD (operators._factors), and W_z A W_z^* = (W_z X)(W_z Y)^H.  Seven
+of the eight Hermite passes of `verify` conjugate a rank-one operand.
+The dropped part of A, below dim eps ||A|| in norm, adds at most
+||f||_1 dim eps ||A|| to f * A (Young), the dense sum's own rounding.
+An operand of rank r >= 2 dim / 3 is conjugated whole.
 """
 
 from __future__ import annotations
@@ -37,6 +45,7 @@ import numpy as np
 from .model import (
     FockOperator,
     FockParams,
+    _check_finite,
     _check_params,
     _pair_pick,
     parity_matrix,
@@ -70,10 +79,13 @@ def _dv_grid(params: FockParams, cfg: ConvolutionConfig, f=None) -> GaussGrid:
     """The dV rule for f(z) times a polynomial times exp(-|z|^2 / t).
 
     Centre and width come from completing the square against f when f is
-    a Gaussian; otherwise the rule is centred at 0 with width t.
+    a Gaussian; otherwise the rule is centred at 0 with width t.  A
+    Gaussian on another C^n raises ValueError.
     """
     t = params.t
     if isinstance(f, Gaussian):
+        if f.n != params.n:
+            raise ValueError(f"a Gaussian on C^{f.n} has no convolution rule on C^{params.n}")
         tau = t * f.width / (t + f.width)
         return hermite_dv_grid(params.n, tau, cfg.m, (tau / f.width) * np.asarray(f.center))
     return hermite_dv_grid(params.n, t, cfg.m)
@@ -206,12 +218,15 @@ def conv_fun_op(f, A: FockOperator, cfg: ConvolutionConfig) -> FockOperator:
 
     A centred Gaussian f takes the radial rule (_radial_conv), whatever
     cfg says.  Otherwise the sum of c_i W_i A W_i^* over the nodes with
-    nonzero weight c_i = w_i f(z_i) is one (dim x B dim) by (B dim x dim)
-    product per block of B nodes, on the rule of _dv_grid.  Satisfies
+    nonzero weight c_i = w_i f(z_i) is one (dim x B r) by (B r x dim)
+    product per block of B nodes, on the rule of _dv_grid, with r the
+    rank of A in _conjugations (r = dim when A is kept whole).  Satisfies
     ||f * A|| <= ||f||_{L^1} ||A|| up to truncation.  The blocks and the
     summation order are fixed, so results are reproducible bit-for-bit.
+    A non-finite entry of A raises ValueError.
     """
     params = A.params
+    _check_finite(A.matrix)
     if _is_radial(f, params):
         return _radial_conv(f, A)
     grid = _dv_grid(params, cfg, f)
@@ -220,23 +235,26 @@ def conv_fun_op(f, A: FockOperator, cfg: ConvolutionConfig) -> FockOperator:
     c = c[keep]
     d = params.dim
     acc = np.zeros((d, d), dtype=complex)
-    for rows, W, WA in _conjugations(params, grid.nodes[keep], A.matrix):
-        WA *= c[rows, None, None]
-        right = W.transpose(0, 2, 1).reshape(-1, d)
-        acc += WA.transpose(1, 0, 2).reshape(d, -1) @ np.conjugate(right, out=right)
+    for rows, WX, WY in _conjugations(params, grid.nodes[keep], A.matrix):
+        WX *= c[rows, None, None]
+        right = WY.transpose(0, 2, 1).reshape(-1, d)
+        acc += WX.transpose(1, 0, 2).reshape(d, -1) @ np.conjugate(right, out=right)
     return FockOperator(params, acc)
 
 
 class OperatorConvolution(Symbol):
     """A * B as a lazily evaluated function z -> Tr(A alpha_z(U B U)).
 
-    Points are evaluated a block at a time: with W_z the Weyl matrices of
-    the block, Tr(A W_z UBU W_z^*) is the sum of (W_z UBU) times the
-    entries of A^T conj(W_z).
+    Points are evaluated a block at a time: with W_z UBU W_z^* = WX WY^H
+    from _conjugations, Tr(A W_z UBU W_z^*) is the sum of WX times the
+    entries of A^T conj(WY).  A non-finite entry of A or B raises
+    ValueError.
     """
 
     def __init__(self, A: FockOperator, B: FockOperator):
         _check_params(A.params, B.params)
+        _check_finite(A.matrix)
+        _check_finite(B.matrix)
         self.A = A
         self.B = B
         self.n = A.params.n
@@ -246,8 +264,8 @@ class OperatorConvolution(Symbol):
         params = self.A.params
         out = np.empty(points.shape[0], dtype=complex)
         At = self.A.matrix.T
-        for rows, W, WX in _conjugations(params, points, self._ubu):
-            out[rows] = np.einsum("bjk,bjk->b", WX, At @ np.conj(W))
+        for rows, WX, WY in _conjugations(params, points, self._ubu):
+            out[rows] = np.einsum("bjk,bjk->b", WX, At @ np.conj(WY))
         return out
 
 

@@ -305,14 +305,19 @@ def degree_projector(params: FockParams, max_degree: int) -> FockOperator:
     return FockOperator(params, np.diag((degrees <= max_degree).astype(complex)))
 
 
+def _check_finite(M: np.ndarray) -> None:
+    """ValueError if M holds an inf or a NaN, which LAPACK would not reject cleanly."""
+    if not np.all(np.isfinite(M)):
+        raise ValueError("array must not contain infs or NaNs")
+
+
 def _svdvals(M: np.ndarray) -> np.ndarray:
     """Singular values in descending order, by LAPACK gesdd.
 
     np.linalg.svd returns NaN for a matrix holding inf, so non-finite
     input is rejected first.
     """
-    if not np.all(np.isfinite(M)):
-        raise ValueError("array must not contain infs or NaNs")
+    _check_finite(M)
     return np.linalg.svd(M, compute_uv=False)
 
 

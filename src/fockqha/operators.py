@@ -85,11 +85,12 @@ def _axis_blocks(z: np.ndarray, t: float, D: int) -> np.ndarray:
     G = np.empty((z.shape[0], D + 1, D + 1))
     G[:, 0] = g
     prev = np.zeros_like(g)
-    for lo in range(D):
-        nxt = ((2 * lo + 1 + k - x) * g - np.sqrt(lo * (lo + k)) * prev) / np.sqrt(
-            (lo + 1) * (lo + 1 + k)
-        )
-        G[:, lo + 1] = nxt
+    # the recurrence's coefficients at [lo, k], lo < D, built once
+    lo = np.arange(D)[:, None]
+    diag, back, scale = 2 * lo + 1 + k, np.sqrt(lo * (lo + k)), np.sqrt((lo + 1) * (lo + 1 + k))
+    for j in range(D):
+        nxt = ((diag[j] - x) * g - back[j] * prev) / scale[j]
+        G[:, j + 1] = nxt
         prev, g = g, nxt
     # phase of <W_z e_b, e_a> at column a - b + D: u^(a-b) with u = alpha/|alpha|
     # on and below the diagonal, (-conj u)^(b-a) above it; u is any unit at
@@ -140,18 +141,41 @@ def weyl(params: FockParams, z) -> FockOperator:
     return FockOperator(params, weyl_matrices(params, z[None, :])[0])
 
 
+def _factors(A: np.ndarray):
+    """A = X Y^H from one SVD, with r columns each; (A, None) when r >= 2 dim / 3.
+
+    r counts the singular values above s[0] dim eps, numpy's matrix_rank
+    tolerance, so the dropped part E has ||E|| <= dim eps ||A||.  At
+    r >= 2 dim / 3 the factored conjugation would cost more than the
+    dense one, and A is kept whole.
+    """
+    d = A.shape[0]
+    U, s, Vh = np.linalg.svd(A)
+    r = int(np.count_nonzero(s > s[0] * d * np.finfo(float).eps))
+    if 3 * r >= 2 * d:
+        return A, None
+    return U[:, :r] * s[:r], Vh[:r].conj().T
+
+
 def _conjugations(params: FockParams, zs: np.ndarray, A: np.ndarray):
     """The conjugations W_i A W_i^* over the points zs, a block of points at a time.
 
-    Yields (rows, W, WA): the slice of zs in the block, the Weyl matrices
-    W_i and the products W_i A, so that W_i A W_i^* = WA[i] @ W[i]^*.
-    The block size follows from _CHUNK_BYTES.
+    Yields (rows, WX, WY): the slice of zs in the block and two stacks
+    with W_i A W_i^* = WX[i] @ WY[i]^H.  With A = X Y^H of rank r from
+    _factors, WX = W X and WY = W Y are dim x r, and a conjugation costs
+    3 dim^2 r instead of 2 dim^3; at r >= 2 dim / 3, WX = W A and
+    WY = W.  The dropped part E of A adds f * E to a convolution, with
+    ||f * E|| <= ||f||_1 ||E|| (Young), and at most ||B||_1 ||E|| to a
+    trace Tr(B W E W^*): both at the rounding of the dense sum.  The
+    block size follows from _CHUNK_BYTES.
     """
     d = params.dim
+    X, Y = _factors(A)
     for rows in _blocks(zs.shape[0], 16 * d * d):
         W = weyl_matrices(params, zs[rows])
-        WA = (W.reshape(-1, d) @ A).reshape(W.shape)
-        yield rows, W, WA
+        WX = (W.reshape(-1, d) @ X).reshape(W.shape[0], d, -1)
+        WY = W if Y is None else (W.reshape(-1, d) @ Y).reshape(WX.shape)
+        yield rows, WX, WY
 
 
 def alpha_op(A: FockOperator, z) -> FockOperator:

@@ -67,7 +67,7 @@ def test_toeplitz_gaussian_hermitian_n2():
 def test_verify_runs_n2(tmp_path):
     # every identity is checked and reported; at D = 6 only the Weyl
     # commutation fails, by truncation (9.4e-3 against 1e-6), and the two
-    # Toeplitz pipelines agree to roundoff (measured 5.8e-16)
+    # Toeplitz pipelines agree to roundoff (measured 6.0e-16)
     argv = ["--n", "2", "--D", "6", "--Q", "8", "--m", "8", "--outdir", str(tmp_path), "verify"]
     with contextlib.redirect_stdout(io.StringIO()):
         status = main(argv)

@@ -5,6 +5,7 @@ their defining integral, which shares no code with the Laguerre
 recurrence that computes them.
 """
 
+import math
 import re
 import tracemalloc
 
@@ -36,7 +37,7 @@ from fockqha.operators import (
     weyl,
     weyl_matrices,
 )
-from fockqha.quadrature import gaussian_grid
+from fockqha.quadrature import gaussian_grid, hermite_dv_grid
 from fockqha.symbols import (
     Constant,
     Gaussian,
@@ -166,6 +167,42 @@ def test_weyl_matches_quadrature_n2():
     for z in ([0.6 - 0.3j, -0.4j], [1.5, 1.0 + 1.0j]):
         err = np.max(np.abs(weyl(p, z).matrix - weyl_by_quadrature(p, z, Q=24)))
         assert err < 1e-13, (z, err)
+
+
+def axis_blocks_loop_local(z, t, D):
+    """operators._axis_blocks with every recurrence coefficient formed inside the loop."""
+    alpha = np.conj(z) / math.sqrt(t)
+    r = np.abs(alpha)
+    x = (r**2)[:, None]
+    k = np.arange(D + 1)
+    logx = np.log(np.where(x > 0, x, 1.0))
+    lfact = np.array([math.lgamma(j + 1) for j in k])
+    g = np.exp(0.5 * k * logx - 0.5 * x - 0.5 * lfact)
+    g = np.where((x > 0) | (k == 0), g, 0.0)
+    G = np.empty((z.shape[0], D + 1, D + 1))
+    G[:, 0] = g
+    prev = np.zeros_like(g)
+    for lo in range(D):
+        nxt = ((2 * lo + 1 + k - x) * g - np.sqrt(lo * (lo + k)) * prev) / np.sqrt(
+            (lo + 1) * (lo + 1 + k)
+        )
+        G[:, lo + 1] = nxt
+        prev, g = g, nxt
+    u = np.where(r > 0, alpha / np.where(r > 0, r, 1.0), 1.0)
+    phase = np.ones((z.shape[0], 2 * D + 1), dtype=complex)
+    phase[:, D + 1 :] = np.cumprod(np.repeat(u[:, None], D, axis=1), axis=1)
+    phase[:, :D] = (np.conj(phase[:, D + 1 :]) * (-1.0) ** k[1:])[:, ::-1]
+    a, b = k[:, None], k[None, :]
+    return phase[:, a - b + D] * G[:, np.minimum(a, b), np.abs(a - b)]
+
+
+def test_weyl_recurrence_tables_change_no_bit():
+    # the coefficient tables built once per call against the same recurrence
+    # with its coefficients formed per step, on the 2401-node convolution rule
+    # at D = 24 (out to |z| = 12.8), and at D = 0 and 1
+    for D in (0, 1, 24):
+        z = hermite_dv_grid(1, 1.0, 2 * D + 1).nodes[:, 0]
+        assert np.array_equal(operators._axis_blocks(z, 1.0, D), axis_blocks_loop_local(z, 1.0, D))
 
 
 def test_weyl_matrices_batch_matches_single_calls():
