@@ -43,7 +43,8 @@ from .quadrature import gaussian_grid
 from .symbols import Gaussian, GridSymbol, Scale, Symbol, Translate
 
 # Byte budget of one block of rows; _blocks is its one reader.  A row is
-# one point's dim x dim Weyl matrix in the batched conjugations, one
+# one point's real Weyl matrix with its operand rows (inner loop) or its
+# one-variable tables (outer loop) in the batched conjugations, one
 # row's weighted plane (dim x Q^2) in the last plane of a Toeplitz
 # quadrature, one point's basis column in a Berezin transform, one
 # point's Q^{2n} shifted copies in a heat transform, and in a translated
@@ -61,47 +62,88 @@ def _blocks(count: int, row_bytes: int) -> list:
     return [slice(start, min(start + step, count)) for start in range(0, count, step)]
 
 
+def _polar(z: np.ndarray, t: float):
+    """alpha = conj(z)/sqrt(t) as its modulus r and its unit u = alpha/|alpha| (1 at alpha = 0)."""
+    alpha = np.conj(z) / math.sqrt(t)
+    r = np.abs(alpha)
+    return r, np.where(r > 0, alpha / np.where(r > 0, r, 1.0), 1.0)
+
+
+def _unit_powers(u: np.ndarray, D: int) -> np.ndarray:
+    """u^k at [..., k], k = 0..D, by running products."""
+    powers = np.ones(u.shape + (D + 1,), dtype=complex)
+    powers[..., 1:] = np.cumprod(np.repeat(u[..., None], D, axis=-1), axis=-1)
+    return powers
+
+
+def _real_blocks(r: np.ndarray, D: int) -> np.ndarray:
+    """Real one-variable Weyl matrices at [p, a, b] for the moduli r = |alpha| of shape (P,).
+
+    With x = r^2, lo = min(a, b) and k = |a - b|, the entry is
+    g(lo, k) = sqrt(lo!/(lo+k)!) e^{-x/2} x^{k/2} L_lo^k(x) on and below
+    the diagonal and (-1)^k g(lo, k) above it: the matrix of W_z at the
+    real point z = r sqrt(t).  The Laguerre recurrence in lo, rescaled to
+    g, keeps every value at most 1 in modulus.  It runs for all P points
+    at once with the points last, so that step lo writes g(lo, .) straight
+    into column lo below the diagonal and, signed, into row lo above it
+    as whole runs of P values, for the k <= D - lo that the box holds,
+    and returns the transposed view.  Its starting values g(0, k)
+    underflow once x exceeds about 1400, far beyond the grids used at any
+    D below a few hundred.
+    """
+    x = r**2
+    k = np.arange(D + 1)[:, None]
+    # g(0, k) = e^{-x/2} x^{k/2} / sqrt(k!), with x^0 = 1 at x = 0
+    logx = np.log(np.where(x > 0, x, 1.0))
+    lfact = np.array([math.lgamma(j + 1) for j in range(D + 1)])[:, None]
+    g = np.exp(0.5 * k * logx - 0.5 * x - 0.5 * lfact)
+    g = np.where((x > 0) | (k == 0), g, 0.0)
+    sign = (-1.0) ** k
+    # the recurrence's coefficients at [lo, k], lo < D, built once
+    lo = np.arange(D)[:, None, None]
+    diag, back, scale = 2 * lo + 1 + k, np.sqrt(lo * (lo + k)), np.sqrt((lo + 1) * (lo + 1 + k))
+    R = np.empty((D + 1, D + 1, r.shape[0]))
+    prev = g
+    for j in range(D + 1):
+        R[j:, j] = g
+        R[j, j + 1 :] = g[1:] * sign[1 : D + 1 - j]
+        if j < D:
+            # g(j + 1, k) for k < D - j needs g(j, k) and g(j - 1, k) at the same k
+            m = D - j
+            prev, g = g, ((diag[j, :m] - x) * g[:m] - back[j, :m] * prev[:m]) / scale[j, :m]
+    return R.transpose(2, 0, 1)
+
+
 def _axis_blocks(z: np.ndarray, t: float, D: int) -> np.ndarray:
     """One-variable Weyl matrices <W_z e_b, e_a> at [p, a, b], for z of shape (P,).
 
-    With alpha = conj(z)/sqrt(t), x = |alpha|^2, lo = min(a, b) and
-    k = |a - b| the element <W_z e_b, e_a> is g(lo, k) (alpha/|alpha|)^k
-    for a >= b and g(lo, k) (-conj(alpha)/|alpha|)^k for a < b, where
-    g(lo, k) = sqrt(lo!/(lo+k)!) e^{-x/2} x^{k/2} L_lo^k(x).  The Laguerre
-    recurrence in lo, rescaled to g, keeps every value at most 1 in
-    modulus; it runs for all P points and all k <= D at once.  Its
-    starting values g(0, k) underflow once x exceeds about 1400, far
-    beyond the grids used at any D below a few hundred.
+    With alpha = conj(z)/sqrt(t) = r u, |u| = 1, the element is
+    u^(a-b) R[a, b] for a >= b and conj(u)^(b-a) R[a, b] for a < b, with
+    R = _real_blocks(r): the phase table at column a - b + D times the
+    real matrix.  u is any unit at alpha = 0, where R is the identity.
     """
-    alpha = np.conj(z) / math.sqrt(t)
-    r = np.abs(alpha)
-    x = (r**2)[:, None]
+    r, u = _polar(z, t)
+    powers = _unit_powers(u, D)
+    phase = np.concatenate([np.conj(powers[:, :0:-1]), powers], axis=1)
     k = np.arange(D + 1)
-    # g(0, k) = e^{-x/2} x^{k/2} / sqrt(k!), with x^0 = 1 at x = 0
-    logx = np.log(np.where(x > 0, x, 1.0))
-    lfact = np.array([math.lgamma(j + 1) for j in k])
-    g = np.exp(0.5 * k * logx - 0.5 * x - 0.5 * lfact)
-    g = np.where((x > 0) | (k == 0), g, 0.0)
-    G = np.empty((z.shape[0], D + 1, D + 1))
-    G[:, 0] = g
-    prev = np.zeros_like(g)
-    # the recurrence's coefficients at [lo, k], lo < D, built once
-    lo = np.arange(D)[:, None]
-    diag, back, scale = 2 * lo + 1 + k, np.sqrt(lo * (lo + k)), np.sqrt((lo + 1) * (lo + 1 + k))
-    for j in range(D):
-        nxt = ((diag[j] - x) * g - back[j] * prev) / scale[j]
-        G[:, j + 1] = nxt
-        prev, g = g, nxt
-    # phase of <W_z e_b, e_a> at column a - b + D: u^(a-b) with u = alpha/|alpha|
-    # on and below the diagonal, (-conj u)^(b-a) above it; u is any unit at
-    # alpha = 0, where g(lo, k > 0) = 0
-    u = np.where(r > 0, alpha / np.where(r > 0, r, 1.0), 1.0)
-    phase = np.ones((z.shape[0], 2 * D + 1), dtype=complex)
-    phase[:, D + 1 :] = np.cumprod(np.repeat(u[:, None], D, axis=1), axis=1)
-    phase[:, :D] = (np.conj(phase[:, D + 1 :]) * (-1.0) ** k[1:])[:, ::-1]
-    a, b = k[:, None], k[None, :]
-    out = phase[:, a - b + D]
-    out *= G[:, np.minimum(a, b), np.abs(a - b)]
+    out = phase[:, k[:, None] - k + D]
+    out *= _real_blocks(r, D)
+    return out
+
+
+def _box_product(params: FockParams, blocks) -> np.ndarray:
+    """prod over axes k of blocks[k][p, alpha_k, beta_k] at [p, alpha, beta]: shape (P, dim, dim).
+
+    blocks yields one (P, D + 1, D + 1) array per axis.  At n = 1 the
+    graded order is 0..D and the block is the matrix.
+    """
+    if params.n == 1:
+        return next(iter(blocks))
+    pick = _pair_pick(params)
+    blocks = (B[:, pick[2 * k], pick[2 * k + 1]] for k, B in enumerate(blocks))
+    out = next(blocks)
+    for B in blocks:
+        out *= B
     return out
 
 
@@ -112,23 +154,12 @@ def weyl_matrices(params: FockParams, zs) -> np.ndarray:
     <W_z e_b, e_a>; the compression of W_z to the degree box is the tensor
     product of one-variable blocks, so for n >= 2 an element is the
     product over axes of the one-variable elements at the indices'
-    components.  At n = 1 the graded order is 0..D and the block is the
-    matrix.
+    components.
     """
     zs = np.asarray(zs, dtype=complex)
     if zs.ndim != 2 or zs.shape[1] != params.n:
         raise ValueError(f"points must have shape (P, {params.n}), got {zs.shape}")
-    if params.n == 1:
-        return _axis_blocks(zs[:, 0], params.t, params.D)
-    pick = _pair_pick(params)
-    blocks = (
-        _axis_blocks(zs[:, k], params.t, params.D)[:, pick[2 * k], pick[2 * k + 1]]
-        for k in range(params.n)
-    )
-    W = next(blocks)
-    for B in blocks:
-        W *= B
-    return W
+    return _box_product(params, (_axis_blocks(z, params.t, params.D) for z in zs.T))
 
 
 def weyl(params: FockParams, z) -> FockOperator:
@@ -160,22 +191,59 @@ def _factors(A: np.ndarray):
 def _conjugations(params: FockParams, zs: np.ndarray, A: np.ndarray):
     """The conjugations W_i A W_i^* over the points zs, a block of points at a time.
 
-    Yields (rows, WX, WY): the slice of zs in the block and two stacks
+    Yields (rows, WX, WY): the indices of zs in the block and two stacks
     with W_i A W_i^* = WX[i] @ WY[i]^H.  With A = X Y^H of rank r from
-    _factors, WX = W X and WY = W Y are dim x r, and a conjugation costs
-    3 dim^2 r instead of 2 dim^3; at r >= 2 dim / 3, WX = W A and
-    WY = W.  The dropped part E of A adds f * E to a convolution, with
-    ||f * E|| <= ||f||_1 ||E|| (Young), and at most ||B||_1 ||E|| to a
-    trace Tr(B W E W^*): both at the rounding of the dense sum.  The
-    block size follows from _CHUNK_BYTES.
+    _factors, WX = W X and WY = W Y are dim x r; at r >= 2 dim / 3,
+    WX = W A and WY = W.  The dropped part E of A adds f * E to a
+    convolution, with ||f * E|| <= ||f||_1 ||E|| (Young), and at most
+    ||B||_1 ||E|| to a trace Tr(B W E W^*): both at the rounding of the
+    dense sum.
+
+    No complex Weyl matrix enters a product.  With alpha_k =
+    conj(z_k)/sqrt(t) = r_k u_k, W_z = D_u R D_u^*, where D_u = diag(U),
+    U[alpha] = prod_k u_k^alpha_k, and R[alpha, beta] =
+    prod_k R_k[alpha_k, beta_k] is real, R_k the real Weyl matrix at the
+    modulus r_k (_real_blocks).  So W M = U o (R @ (conj(U) o M)), with
+    M = [X, Y] (or A): one real product against the interleaved real and
+    imaginary parts of M, half the multiply-adds of the complex product.
+    Only a full-rank A forms W = (U o R) o conj(U)^T, for WY.  R depends
+    on the moduli alone, so the points are visited in order of their
+    moduli, and each outer block of points builds R_k once per distinct
+    r_k among them (the centred order-49 rule has 325 moduli for its 2401
+    nodes) and gathers it per point.  An outer block's row is a point's
+    share of the R_k tables, at most one (D + 1)^2 table per axis; an
+    inner block's row is a point's R, conj(U) o M and W M, and W at full
+    rank.
     """
-    d = params.dim
+    d, D, n = params.dim, params.D, params.n
     X, Y = _factors(A)
-    for rows in _blocks(zs.shape[0], 16 * d * d):
-        W = weyl_matrices(params, zs[rows])
-        WX = (W.reshape(-1, d) @ X).reshape(W.shape[0], d, -1)
-        WY = W if Y is None else (W.reshape(-1, d) @ Y).reshape(WX.shape)
-        yield rows, WX, WY
+    M = X if Y is None else np.concatenate([X, Y], axis=1)
+    row_bytes = 8 * d * d + 32 * d * M.shape[1] + (16 * d * d if Y is None else 0)
+    r, u = _polar(zs, params.t)
+    order = np.lexsort(r.T[::-1])
+    idx = np.array(multi_indices(params))
+    for outer in _blocks(zs.shape[0], 8 * n * (D + 1) ** 2):
+        outer = order[outer]
+        tables = []
+        for rk in r[outer].T:
+            radii, inverse = np.unique(rk, return_inverse=True)
+            tables.append((_real_blocks(radii, D), inverse))
+        for inner in _blocks(outer.shape[0], row_bytes):
+            rows = outer[inner]
+            R = _box_product(params, (T[inverse[inner]] for T, inverse in tables))
+            powers = _unit_powers(u[rows], D)
+            U = powers[:, 0, idx[:, 0]]
+            for k in range(1, n):
+                U *= powers[:, k, idx[:, k]]
+            V = np.conj(U)[:, :, None] * M
+            WM = (R @ V.view(float)).view(complex)
+            WM *= U[:, :, None]
+            if Y is None:
+                W = R * U[:, :, None]
+                W *= np.conj(U)[:, None, :]
+                yield rows, WM, W
+            else:
+                yield rows, WM[:, :, : X.shape[1]], WM[:, :, X.shape[1] :]
 
 
 def alpha_op(A: FockOperator, z) -> FockOperator:

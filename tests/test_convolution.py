@@ -5,6 +5,8 @@ against an explicit Gauss-Hermite rule, so the oracles share no code with
 the rule the package uses.
 """
 
+import re
+import warnings
 from functools import reduce
 
 import mpmath
@@ -15,6 +17,7 @@ import scipy.special
 from fockqha import operators
 from fockqha.convolution import (
     ConvolutionConfig,
+    OperatorConvolution,
     _gauss_laguerre,
     adjoint_duality_residuals,
     conv_fun_op,
@@ -46,6 +49,7 @@ from fockqha.operators import (
     toeplitz,
     weyl_matrices,
 )
+from fockqha.quadrature import hermite_dv_grid
 from fockqha.symbols import Constant, Gaussian, PlaneWave, Translate, heat_gaussian
 
 P = FockParams(1, 1.0, 16, 20)
@@ -137,14 +141,18 @@ def operand(p, rank):
         return FockVector(p, (rng.standard_normal(p.dim) + 1j * rng.standard_normal(p.dim)) * decay)
 
     if rank == 1:
-        k = kernel_coefficients(p, np.full(p.n, (0.3 - 0.2j) / p.n))
+        # at D = 2 the truncated kernel misses 1.3e-5 of its norm, which
+        # warns; k k^H is rank one all the same
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", message="kernel truncation defect")
+            k = kernel_coefficients(p, np.full(p.n, (0.3 - 0.2j) / p.n))
         return rank_one(k, k)
     return sum((rank_one(vec(), vec()) for _ in range(rank)), 0.0 * identity_operator(p))
 
 
 RANK_CASES = [
     pytest.param(n, D, rank, id=f"n{n}-D{D}-rank{rank}")
-    for n, D in [(1, 10), (1, 24), (2, 4)]
+    for n, D in [(1, 10), (1, 24), (2, 4), (3, 2), (1, 40)]
     for rank in (0, 1, 2, "full")
 ]
 
@@ -165,8 +173,8 @@ def test_factors_keep_the_rank(n, D, rank):
 @pytest.mark.parametrize("n, D, rank", RANK_CASES)
 def test_conv_fun_op_at_the_operands_rank_matches_per_node_sum(n, D, rank):
     # the factored conjugations (full rank: the dense ones) against the
-    # defining sum on the exact rule; measured <= 1.1e-15 of max |entry|,
-    # and <= 1.0e-15 when every operand took the dense conjugations
+    # defining sum on the exact rule; measured <= 1.3e-15 of max |entry|,
+    # and 2.5e-15 at full rank (D = 24), where W = D_u R D_u^* is formed
     p = FockParams(n, 1.0, D, D + 2)
     A = operand(p, rank)
     c = np.full(n, 0.3 - 0.2j)
@@ -182,11 +190,11 @@ def test_conv_fun_op_at_the_operands_rank_matches_per_node_sum(n, D, rank):
 @pytest.mark.parametrize("n, D, rank", RANK_CASES)
 def test_operator_convolution_at_the_operands_rank_matches_per_point_trace(n, D, rank):
     # B's rank sets the rank of the conjugated U B U; measured <= 1.7e-15 of
-    # max |value|, and <= 2.4e-15 when every operand took the dense conjugations
+    # max |value|
     p = FockParams(n, 1.0, D, D + 2)
     A = toeplitz(p, Gaussian(center=np.full(n, 0.3), width=1.0, n=n))
     B = operand(p, rank)
-    pts = np.array([0.0, 0.4 - 0.7j, -1.5, 2.0j, 3.0j])[:, None] * np.array([1.0, 0.5 - 0.5j])[:n]
+    pts = np.array([0.0, 0.4 - 0.7j, -1.5, 2.0j, 3.0j])[:, None] * np.array([1.0, 0.5 - 0.5j, -0.3j])[:n]
     UBU = u_conjugate(B)
     want = np.array([np.trace(A.matrix @ alpha_op(UBU, z).matrix) for z in pts])
     got = conv_op_op(A, B)(pts)
@@ -218,7 +226,7 @@ def test_gaussian_on_another_dimension_names_both():
 
 def test_conjugation_blocks_only_move_the_boundaries(monkeypatch):
     # one point per block against the default blocks, for conv_fun_op on its
-    # Hermite path and OperatorConvolution.eval; measured 6.3e-16 and 0 of max |entry|
+    # Hermite path and OperatorConvolution.eval; measured 5.5e-16 and 0 of max |entry|
     p = FockParams(1, 1.0, 8, 10)
     f = Gaussian(center=0.3 - 0.2j, width=1.5)
     A = toeplitz(p, Gaussian(center=-0.4, width=2.0)) + 0.5 * rank_one(
@@ -231,6 +239,43 @@ def test_conjugation_blocks_only_move_the_boundaries(monkeypatch):
     got = conv_fun_op(f, A, default_config(p)).matrix, conv_op_op(A, B)(pts)
     for g, w in zip(got, want):
         assert np.max(np.abs(g - w)) <= 1e-15 * np.max(np.abs(w))
+
+
+def test_conjugations_build_one_real_block_per_radius(monkeypatch):
+    # the centred 2401-node rule at D = 24 has 325 distinct radii; the
+    # points are visited in radius order, so a radius is built again only
+    # where a block boundary splits its points
+    p = FockParams(1, 1.0, 24, 26)
+    nodes = hermite_dv_grid(1, p.t, 2 * p.D + 1).nodes
+    radii = np.unique(np.abs(nodes))
+    assert radii.size == 325
+    built, calls = [], []
+    real_blocks = operators._real_blocks
+
+    def counting(r, D):
+        built.extend(r)
+        calls.append(r.size)
+        return real_blocks(r, D)
+
+    monkeypatch.setattr(operators, "_real_blocks", counting)
+    A = rank_one(kernel_coefficients(p, 0.3), kernel_coefficients(p, 0.3))
+    for B in (A, operand(p, "full")):
+        built.clear()
+        calls.clear()
+        conv_op_op(B, B)(nodes)
+        assert len(built) <= radii.size + len(calls)
+        assert set(built) == set(radii)
+
+
+@pytest.mark.parametrize("params", [FockParams(1, 1.0, 6, 8), FockParams(2, 1.0, 4, 6)])
+def test_operator_convolution_takes_one_point_of_shape_n(params):
+    # the points go through model._point_rows, as in berezin_values
+    A = operand(params, 2)
+    conv = OperatorConvolution(A, A)
+    z = np.array([0.5, -0.2j][: params.n])
+    assert np.array_equal(conv.eval(z), conv.eval(z[None, :]))
+    with pytest.raises(ValueError, match=re.escape(f"(P, {params.n}), got (3,)")):
+        conv.eval(np.full(3, 0.5))
 
 
 def test_approximate_identity_two_point():
