@@ -17,15 +17,19 @@ integrates it exactly.  Any other f, and the trace-identity integrand,
 use mu = 0 and tau = t; the rule is then exact for polynomial f of low
 degree and spectrally accurate for smooth f.
 
-A centred Gaussian kernel (c = 0, every heat kernel f_s) takes an exact
-radial rule instead, one complex plane at a time.  With z = r e^{i theta}
-and R_r the real Weyl matrix at r, W_z[a, c] = R_r[a, c] e^{-i (a - c) theta}
-(Werner's phase covariance alpha_{e^{i theta} z} = U_theta alpha_z U_theta^*),
-so the angular integral keeps only the terms A[c, c - a + b] of entry
-(a, b), and what remains is an integral of exp(-beta x) times a polynomial
-of degree <= 2D in x = r^2 / t, with beta = 1 + t / w.  Gauss-Laguerre of
-order D + 1 integrates it exactly: D + 1 radial nodes per plane instead of
-(2D + 1)^2 Hermite nodes, and no conjugation by dim x dim matrices.
+A centred Gaussian kernel (c = 0, every heat kernel f_s) takes a closed
+form instead, one complex plane at a time.  On a plane, f * A / (a pi w)
+averages W_z A W_z^* over the Gaussian of mean |z|^2 = w: it is the
+classical-noise channel of mean photon number n = w / t, an attenuator
+of transmissivity 1 / (1 + n) followed by an amplifier of gain 1 + n
+(Werner, J. Math. Phys. 25 (1984)).  Both have operator-sum forms with
+binomial coefficients (Ivan, Sabapathy & Simon, Phys. Rev. A 84, 042311
+(2011)), both keep the band b - a of an entry (a, b), and the amplifier
+only raises degrees, so the truncated convolution is exact: the
+attenuator maps the box into itself, and what the amplifier lifts past
+D never comes back.  Each band is mapped by one (D + 1)^2 kernel whose
+every term is positive, so nothing cancels (_noise_kernels): no
+quadrature, and no Weyl matrix.
 
 On the Hermite rules a conjugation W_z A W_z^* works at the rank r of
 the operand: A = X Y^H is factored once by one SVD (operators._factors),
@@ -33,9 +37,10 @@ and W_z A W_z^* = (W_z X)(W_z Y)^H.  Seven of the eight Hermite passes
 of `verify` conjugate a rank-one operand.  The dropped part of A, below
 dim eps ||A|| in norm, adds at most ||f||_1 dim eps ||A|| to f * A
 (Young), the dense sum's own rounding.  An operand of rank r >= 2 dim / 3
-is conjugated whole.  The same phase covariance factors every Weyl
-matrix as W_z = D_u R D_u^*, with D_u diagonal and R real and depending
-on |z| alone (on the |z_k| at n >= 2), so W_z X = u o (R @ (conj(u) o X))
+is conjugated whole.  Phase covariance, W_{e^{i theta} z} = U W_z U^*
+with U = diag(e^{-i a theta}), factors every Weyl matrix as
+W_z = D_u R D_u^*, with D_u diagonal and R real and depending on |z|
+alone (on the |z_k| at n >= 2), so W_z X = u o (R @ (conj(u) o X))
 is a real product: a node costs 8 dim^2 r real multiply-adds where
 complex Weyl matrices took 12, and a full-rank operand 6 dim^3 where
 they took 8.  R is built once per distinct radius among a block of
@@ -47,7 +52,6 @@ and copied to each node; the centred order-49 rule has 325 radii for its
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,7 +66,7 @@ from .model import (
     parity_matrix,
     pc_operator,
 )
-from .operators import _conjugations, _real_blocks
+from .operators import _conjugations, _pascal
 from .quadrature import GaussGrid, hermite_dv_grid
 from .symbols import Gaussian, Symbol
 
@@ -71,7 +75,7 @@ from .symbols import Gaussian, Symbol
 class ConvolutionConfig:
     """The Gauss-Hermite order per real axis of a convolution's dV rule.
 
-    The radial rule of centred Gaussian kernels has its own fixed order.
+    Centred Gaussian kernels take a closed form and no rule.
     """
 
     m: int
@@ -114,7 +118,7 @@ def u_conjugate(A: FockOperator) -> FockOperator:
 
 
 def _is_radial(f, params: FockParams) -> bool:
-    """Whether f * A takes the radial rule: f a centred Gaussian on C^n.
+    """Whether f * A takes the closed form: f a centred Gaussian on C^n.
 
     Any other kernel, and a Gaussian whose dimension or amplitude the
     Hermite path would reject, stays on the Hermite path.
@@ -127,107 +131,72 @@ def _is_radial(f, params: FockParams) -> bool:
     )
 
 
-def _laguerre_pair(n: int, x: np.ndarray):
-    """L_{n-1}(x) and L_n(x), summed from the differences d_k = L_k - L_{k-1}.
+def _noise_kernels(params: FockParams, width: float) -> np.ndarray:
+    """The band kernels K[delta], delta = 0..D, of a centred Gaussian of the given width.
 
-    d_{k+1} = (k d_k - x L_k) / (k + 1) is scipy's eval_genlaguerre
-    recurrence.  The three-term recurrence for L_k itself costs the radial
-    rule a factor of 10 at D = 24 (2.3e-14 of the largest entry against
-    the Hermite oracle, where this one gives 2.5e-15).
+    On a plane the convolution is the classical-noise channel of mean
+    photon number n = width / t (module docstring); let eta = 1 / (1 + n)
+    and q = n / (1 + n).  Both of its stages keep the band delta = |b - a|
+    of an entry (a, b), indexed by lo = min(a, b).  The attenuator takes
+    the entry at hi to the one at lo <= hi with the weight
+    G[hi, lo] = sqrt(C(hi + delta, lo + delta) C(hi, lo)) q^(hi - lo) eta^(lo + delta/2),
+    and the amplifier takes lo up to hi with the weight eta G[hi, lo], so
+    K[delta] = eta G G^T, zero-padded to (D + 1)^2.  Every term is
+    positive and every factor at most 1; eta^x is taken as (1 + n)^-x,
+    and q is formed directly.  hi + delta <= D, so the (D + 1)-row Pascal
+    triangle holds every binomial.
     """
-    d = -x
-    prev, p = np.ones_like(x), d + 1.0
-    for k in range(1, n):
-        d = -x / (k + 1.0) * p + (k / (k + 1.0)) * d
-        prev, p = p, p + d
-    return prev, p
-
-
-def _gauss_laguerre(n: int):
-    """Nodes and weights of the n-point Gauss-Laguerre rule for exp(-x) on [0, inf).
-
-    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix
-    (diagonal 2k + 1, off-diagonal -k), refined by one Newton step on
-    L_n; the weights are 1 / (L_{n-1} L_n') at the refined nodes, each
-    factor rescaled by its geometric mid-range so the product neither
-    overflows nor underflows, then normalized to sum to 1.  The nodes
-    equal scipy's roots_laguerre bit for bit (orders 1 to 69).  scipy
-    takes L_n' at the unrefined nodes; taking it at the refined ones
-    brings the weights 3 to 15 times closer to the mpmath weights at
-    those nodes (orders 7 to 61): 5.8e-15 relative at order 25, 3.8e-14
-    at order 61.
-    """
-    k = np.arange(1.0, n)
-    x = np.linalg.eigvalsh(np.diag(2.0 * np.arange(n) + 1.0) - np.diag(k, 1) - np.diag(k, -1))
-    fm, f = _laguerre_pair(n, x)
-    x -= f / (n * (f - fm) / x)
-    fm, f = _laguerre_pair(n, x)
-    dy = n * (f - fm) / x
-    log_fm, log_dy = np.log(np.abs(fm)), np.log(np.abs(dy))
-    fm /= np.exp((log_fm.max() + log_fm.min()) / 2.0)
-    dy /= np.exp((log_dy.max() + log_dy.min()) / 2.0)
-    w = 1.0 / (fm * dy)
-    return x, w * (1.0 / w.sum())
-
-
-def _radial_kernel(params: FockParams, width: float):
-    """The one-plane kernel K[a, b, c] of a centred Gaussian of the given width.
-
-    One plane maps X to Y[a, b] = sum over c of K[a, b, c] X[c, e[a, b, c]]
-    with e = c - a + b; K is 0 where e falls outside 0..D, and e is
-    clipped there.  K sums w'_k R_k[a, c] R_k[b, e] over the Gauss-Laguerre
-    nodes y_k of order D + 1, with R_k the real Weyl matrix at
-    r_k = sqrt(t y_k / beta) and w'_k = w_k e^{y_k / beta}, one node at a
-    time.  The plane's prefactor pi tau is left to the caller.  The rule
-    is _gauss_laguerre's: numpy's laggauss weights are 30 times less
-    accurate (4e-14 at D = 24).
-    """
-    t, D = params.t, params.D
-    beta = 1.0 + t / width
-    y, w = _gauss_laguerre(D + 1)
-    R = _real_blocks(np.sqrt(t * y / beta) / math.sqrt(t), D)
+    D = params.D
+    nbar = width / params.t
+    binom = _pascal(D)
     k = np.arange(D + 1)
-    a, b, c = k[:, None, None], k[None, :, None], k[None, None, :]
-    e = c - a + b
-    inside = (e >= 0) & (e <= D)
-    e = np.clip(e, 0, D)
+    # q^|hi - lo| at [hi, lo]; binom is 0 where it takes the wrong sign
+    power = (nbar / (1.0 + nbar)) ** np.abs(k[:, None] - k)
     K = np.zeros((D + 1,) * 3)
-    for wk, Rk in zip(w * np.exp(y / beta), R):
-        K += wk * (Rk[a, c] * Rk[b, e])
-    K *= inside
-    return K, e
+    for delta in range(D + 1):
+        m = D + 1 - delta
+        Gt = np.sqrt(binom[delta:, delta:] * binom[:m, :m]) * power[:m, :m]
+        Gt /= (1.0 + nbar) ** (k[:m] + delta / 2.0)
+        K[delta, :m, :m] = Gt @ Gt.T
+    return K / (1.0 + nbar)
 
 
 def _radial_conv(f: Gaussian, A: FockOperator) -> FockOperator:
-    """f * A for a centred Gaussian f, on the radial rule of the module docstring.
+    """f * A for a centred Gaussian f, by the band kernels of the module docstring.
 
     A is scattered onto the (D+1)^{2n} degree box, each plane's index
-    pair is mapped by the one-plane kernel in turn (the Gaussian and the
+    pair is mapped by the band kernels in turn (the Gaussian and the
     Weyl operators are products over planes), and the basis multi-indices
-    are gathered back.
+    are gathered back.  A plane's entries are read band by band, above
+    and below the diagonal, lo running 0..D with positions past the band's
+    end clipped to D: they meet the kernel's zero columns.
     """
     params = A.params
-    d, n = params.D + 1, params.n
-    tau = params.t * f.width / (params.t + f.width)
-    K, e = _radial_kernel(params, f.width)
+    D, n = params.D, params.n
+    d = D + 1
+    K = _noise_kernels(params, f.width)
+    k = np.arange(d)
+    below, delta, lo = np.arange(2)[:, None, None], k[:, None], k
+    rows = np.minimum(lo + below * delta, D)
+    cols = np.minimum(lo + (1 - below) * delta, D)
+    a, b = k[:, None], k
+    band = (b < a).astype(int), np.abs(b - a), np.minimum(a, b)
     pick = _pair_pick(params)
     X = np.zeros((d, d) * n, dtype=complex)
     X[pick] = A.matrix
     for _ in range(n):
         X = X.reshape(d, d, -1)
-        Y = np.zeros_like(X)
-        for c in range(d):
-            Y += K[:, :, c, None] * X[c, e[:, :, c]]
+        X = (K @ X[rows, cols].view(float)).view(complex)[band]
         # the leading plane is mapped, and its index pair goes last
-        X = Y.reshape(d * d, -1).T
-    scale = f.amplitude * (np.pi * tau) ** n
+        X = X.reshape(d * d, -1).T
+    scale = f.amplitude * (np.pi * f.width) ** n
     return FockOperator(params, scale * X.reshape((d, d) * n)[pick])
 
 
 def conv_fun_op(f, A: FockOperator, cfg: ConvolutionConfig) -> FockOperator:
     """f * A = quadrature Bochner integral of f(z) alpha_z(A) dV(z).
 
-    A centred Gaussian f takes the radial rule (_radial_conv), whatever
+    A centred Gaussian f takes the closed form (_radial_conv), whatever
     cfg says.  Otherwise the sum of c_i W_i A W_i^* over the nodes with
     nonzero weight c_i = w_i f(z_i) is one (dim x B r) by (B r x dim)
     product per block of B nodes, on the rule of _dv_grid, with r the

@@ -252,6 +252,19 @@ def alpha_op(A: FockOperator, z) -> FockOperator:
     return FockOperator(A.params, W @ A.matrix @ W.conj().T)
 
 
+def _pascal(D: int) -> np.ndarray:
+    """Pascal's triangle C(r, j), 0 <= r, j <= D, zero above the diagonal.
+
+    Its sums of integers are exact in floats up to D = 57 and finite up to
+    D = 1029.
+    """
+    binom = np.zeros((D + 1, D + 1))
+    binom[:, 0] = 1.0
+    for r in range(1, D + 1):
+        binom[r, 1:] = binom[r - 1, 1:] + binom[r - 1, :-1]
+    return binom
+
+
 def _gaussian_plane(t: float, D: int, width: float, c: complex) -> np.ndarray:
     """One plane's Toeplitz matrix of e^{-|w - c|^2/width}: (D + 1) x (D + 1), exact.
 
@@ -275,14 +288,8 @@ def _gaussian_plane(t: float, D: int, width: float, c: complex) -> np.ndarray:
     steps[0] = math.sqrt(rho) * math.exp(-0.5 * abs(c) ** 2 / (width + t))
     steps[1:] = math.sqrt(t) * np.conj(c) / (width + t) / np.sqrt(np.arange(1, D + 1))
     column = np.cumprod(steps)
-    # Pascal's triangle, zero above the diagonal: exact in floats up to D = 57,
-    # finite up to D = 1029
-    binom = np.zeros((D + 1, D + 1))
-    binom[:, 0] = 1.0
-    for r in range(1, D + 1):
-        binom[r, 1:] = binom[r - 1, 1:] + binom[r - 1, :-1]
     k = np.arange(D + 1)
-    V = column[np.maximum(k[:, None] - k, 0)] * np.sqrt(binom * rho**k)
+    V = column[np.maximum(k[:, None] - k, 0)] * np.sqrt(_pascal(D) * rho**k)
     return V @ V.conj().T
 
 
@@ -297,14 +304,8 @@ def _gaussian_toeplitz(params: FockParams, f: Gaussian) -> np.ndarray:
     centers = np.broadcast_to(np.atleast_1d(np.asarray(f.center, dtype=complex)), (f.n,))
     if not (np.isfinite(f.amplitude) and np.all(np.isfinite(centers))):
         raise ValueError(f"non-finite Gaussian: amplitude {f.amplitude}, centre {f.center}")
-    pick = _pair_pick(params)
-    planes = (
-        _gaussian_plane(params.t, params.D, f.width, c)[pick[2 * k], pick[2 * k + 1]]
-        for k, c in enumerate(centers)
-    )
-    M = next(planes)
-    for T in planes:
-        M *= T
+    planes = (_gaussian_plane(params.t, params.D, f.width, c)[None] for c in centers)
+    M = _box_product(params, planes)[0]
     M *= f.amplitude
     return M
 
@@ -370,9 +371,9 @@ def berezin_values(A: FockOperator, points: np.ndarray) -> np.ndarray:
     points = _point_rows(params, points)
     out = np.empty(points.shape[0], dtype=complex)
     for rows in _blocks(points.shape[0], 16 * params.dim):
-        block = points[rows]
-        weights = np.exp(-np.sum(np.abs(block) ** 2, axis=1) / (2.0 * params.t))
-        C = np.conj(basis_matrix(params, block)) * weights  # C[:, i] = coefficients of k_{z_i}
+        # C[:, i] = coefficients of k_{z_i} without their Gaussian factor,
+        # which cancels in the ratio and underflows far out
+        C = np.conj(basis_matrix(params, points[rows]))
         raw = np.sum(np.conj(C) * (A.matrix @ C), axis=0)
         out[rows] = raw / np.sum(np.abs(C) ** 2, axis=0)
     return out
@@ -433,7 +434,8 @@ class BerezinTranslateSum(Symbol):
     per distinct r.  Otherwise every distinct point is its own r and only
     <A, H_r> is taken.  A point's value does not depend on the other
     points evaluated with it.  The (point, translate) pairs are taken a
-    block at a time, and with no nodes g = 0.
+    block at a time, and with no nodes g = 0.  A coefficient count other
+    than the node count raises ValueError.
 
     Against the sum of its `parts`, the explicit expansion, it agrees to
     2.0e-12 / 1.1e-12 / 4.4e-13 of max |g| on the D = 24 grid at N = 8 for
@@ -448,6 +450,10 @@ class BerezinTranslateSum(Symbol):
         self.n = A.params.n
         self.nodes = np.asarray(nodes, dtype=complex).reshape(-1, self.n)
         self.coefficients = np.asarray(coefficients)
+        if self.coefficients.shape != (self.nodes.shape[0],):
+            raise ValueError(
+                f"{self.coefficients.size} coefficients for {self.nodes.shape[0]} nodes"
+            )
 
     @property
     def parts(self) -> list:

@@ -169,11 +169,26 @@ class Polynomial(Symbol):
 
 @dataclass
 class Radial(Symbol):
-    """Radial profile |w| -> value, linearly interpolated from a table."""
+    """Radial profile |w| -> value, linearly interpolated from a table.
+
+    The radii must be strictly ascending, one value each; any other table
+    raises ValueError.
+    """
 
     radii: np.ndarray
     values: np.ndarray
     n: int = 1
+
+    def __post_init__(self):
+        # np.interp reads any other table without complaint, and wrongly
+        shape = np.shape(self.radii)
+        if len(shape) != 1 or shape[0] == 0 or np.shape(self.values) != shape:
+            raise ValueError(
+                f"Radial needs one value per radius, got radii of shape {shape} "
+                f"and values of shape {np.shape(self.values)}"
+            )
+        if np.any(np.diff(self.radii) <= 0):
+            raise ValueError(f"Radial radii must be strictly ascending, got {self.radii}")
 
     def eval(self, points):
         r = np.sqrt(np.sum(np.abs(points) ** 2, axis=1))

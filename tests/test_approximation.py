@@ -14,6 +14,7 @@ import scipy.linalg
 
 from fockqha.approximation import (
     RIDGE,
+    HeatKernelFit,
     approximate_identity_sweep,
     build_symbol_from_berezin,
     fit_heat_kernel,
@@ -444,6 +445,22 @@ def test_symbol_with_no_nodes_is_zero():
     params = FockParams(1, 1.0, 4, 6)
     sym = BerezinTranslateSum(identity_operator(params), np.zeros((0, 1)), np.zeros(0))
     assert np.array_equal(sym.eval(np.array([[0.5], [1j], [0.0]])), np.zeros(3))
+
+
+@pytest.mark.parametrize("count, nodes", [(3, 2), (1, 3)])
+def test_symbol_rejects_a_coefficient_count_other_than_the_node_count(count, nodes):
+    # a hand-built fit: three coefficients for two nodes would weight the
+    # first two, and one coefficient for three would weight all three
+    params = FockParams(1, 1.0, 4, 6)
+    fit = HeatKernelFit(
+        N=1,
+        nodes=np.linspace(0.0, 0.3, nodes)[:, None] + 0j,
+        coefficients=np.ones(count),
+        l1_residual=0.0,
+        ridge=0.0,
+    )
+    with pytest.raises(ValueError, match=f"{count} coefficients for {nodes} nodes"):
+        build_symbol_from_berezin(identity_operator(params), fit)
 
 
 @pytest.mark.parametrize("n", [1, 2])

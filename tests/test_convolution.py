@@ -9,16 +9,13 @@ import re
 import warnings
 from functools import reduce
 
-import mpmath
 import numpy as np
 import pytest
-import scipy.special
 
 from fockqha import operators
 from fockqha.convolution import (
     ConvolutionConfig,
     OperatorConvolution,
-    _gauss_laguerre,
     adjoint_duality_residuals,
     conv_fun_op,
     conv_op_op,
@@ -464,9 +461,9 @@ def test_two_pipeline_residual_is_toeplitz_error(gaussian_pipelines):
     assert residual <= 4e-15
 
 
-# a centred Gaussian takes the radial rule whatever cfg.m says, so only the
-# off-centre kernel tests the Hermite order; the radial rule is checked
-# against its oracle below
+# a centred Gaussian takes the closed form whatever cfg.m says, so only the
+# off-centre kernel tests the Hermite order; the closed form is checked
+# against its oracles below
 @pytest.mark.parametrize(
     "f", [Gaussian(center=0.7 - 0.4j, width=1.5, amplitude=0.5)], ids=["off-centre"]
 )
@@ -489,13 +486,14 @@ def test_conv_fun_op_is_exact_at_order_2d_plus_1(f):
         (1, 10, 0.125),
         (1, 24, 1.0),
         (1, 24, 0.125),
+        (1, 40, 0.125),
         (2, 6, 0.125),
         (3, 2, 0.5),
         (3, 2, 0.125),
     ],
 )
 def test_radial_rule_matches_per_node_hermite_sum(n, D, s):
-    # a centred Gaussian takes the radial rule; the oracle is the defining
+    # a centred Gaussian takes the closed form; the oracle is the defining
     # sum on the Hermite rule completed against f, exact at order 2D + 1
     p = FockParams(n, 1.0, D, D + 2)
     rng = np.random.default_rng(14)
@@ -504,41 +502,29 @@ def test_radial_rule_matches_per_node_hermite_sum(n, D, s):
     tau = p.t * s / (p.t + s)
     want = per_node_sum(p, f, A, *hermite_dv(tau, 2 * D + 1, n=n))
     got = conv_fun_op(f, A, ConvolutionConfig(1)).matrix
-    # measured <= 2.5e-15 (1.0e-15 at n = 3, and 3.5e-16 and 1.7e-16 at D = 0,
-    # the order-1 rule); numpy's laggauss weights would give 4e-14 at D = 24
-    assert np.max(np.abs(got - want)) < 2e-14 * np.max(np.abs(want))
+    # measured <= 2.5e-15, 2.9e-15 at D = 40 (1.3e-15 at n = 2 and 3, and
+    # 2.0e-16 and 4.2e-16 at D = 0)
+    assert np.max(np.abs(got - want)) < 1e-14 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("order", [25, 41, 61])
-def test_gauss_laguerre_rule_matches_mpmath(order):
-    # the radial rule's order D + 1 at D = 24, 40 and 60.  The oracle takes
-    # the root of L_n in 40 digits near each float node, and the weight
-    # x / ((n + 1)^2 L_{n+1}(x)^2) at the float node x itself, scaled as the
-    # kernel scales it, w'_k = w_k e^{y_k / beta}
-    y, w = _gauss_laguerre(order)
-    eps = np.finfo(float).eps
-    with mpmath.workdps(40):
-        for beta in (1.0, 9.0):
-            for yk, wk in zip(y, w * np.exp(y / beta)):
-                x = mpmath.mpf(float(yk))
-                root = mpmath.findroot(
-                    lambda u: mpmath.laguerre(order, 0, u), x, tol=mpmath.mpf(10) ** -35, verify=False
-                )
-                ref = x / ((order + 1) ** 2 * mpmath.laguerre(order + 1, 0, x) ** 2)
-                ref *= mpmath.exp(x / beta)
-                # measured <= 1.7e-16 for the nodes; 5.8e-15, 2.1e-14 and
-                # 3.8e-14 for the weights at the three orders, where scipy's
-                # roots_laguerre weights are 8.9e-14, 8.4e-14 and 3.4e-13 off
-                assert abs(x - root) <= 2 * eps * root
-                assert abs(wk - ref) <= 7 * eps * order * ref
-    # cross-check: the same nodes as scipy, and its less accurate weights
-    ys, ws = scipy.special.roots_laguerre(order)
-    assert np.max(np.abs(y - ys) / ys) <= 2 * eps
-    assert np.max(np.abs(w - ws) / ws) <= 1e-12
+@pytest.mark.parametrize("n, D", [(1, 24), (1, 40), (1, 60), (2, 12), (3, 4)])
+@pytest.mark.parametrize("s", [1.0, 0.125, 4.0])
+def test_heat_kernel_takes_the_vacuum_to_the_thermal_state(n, D, s):
+    # an oracle that shares nothing with the band kernels: f_s * P_C is the
+    # thermal state of mean photon number nbar = s / t per plane, truncated,
+    # the diagonal nbar^|alpha| / (1 + nbar)^(|alpha| + n)
+    p = FockParams(n, 1.0, D, D + 2)
+    got = conv_fun_op(heat_gaussian(s, n), pc_operator(p), ConvolutionConfig(1)).matrix
+    deg = np.array(multi_indices(p)).sum(axis=1)
+    nbar = s / p.t
+    want = np.diag(nbar**deg / (1.0 + nbar) ** (deg + n))
+    # measured <= 2.2e-16 of the largest entry; each entry is within
+    # 3.5e-15 of its own size at D = 60, the float q^k of the kernels
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(want)
 
 
 def test_radial_rule_keeps_the_hermite_paths_errors():
-    # a kernel the Hermite path rejects is not taken by the radial rule
+    # a kernel the Hermite path rejects is not taken by the closed form
     p2 = FockParams(2, 1.0, 4, 6)
     with pytest.raises(ValueError):
         conv_fun_op(heat_gaussian(1.0), identity_operator(p2), ConvolutionConfig(3))

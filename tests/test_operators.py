@@ -578,6 +578,30 @@ def test_berezin_of_pc():
     assert np.max(np.abs(berezin_values(pc_operator(P), pts) - want)) < 1e-12
 
 
+@pytest.mark.parametrize("r", [30.0, 40.0])
+def test_berezin_values_far_from_the_origin(r):
+    # the Gaussian factor of k_z, e^{-r^2 / 2t}, underflows the norms there
+    # and cancels in the ratio; the oracle sums the unscaled basis in mpmath.
+    # The value tends to the top diagonal entry (2/3)^25 = 4.0e-5
+    import mpmath as mp
+
+    p = FockParams(1, 1.0, 24, 26)
+    A = toeplitz(p, Gaussian(width=2.0))
+    pts = r * np.exp(1j * np.array([0.0, 0.7, 2.0]))[:, None]
+    got = berezin_values(A, pts)
+    with mp.workdps(30):
+        for z, value in zip(pts[:, 0], got):
+            e = [mp.mpc(z) ** a / mp.sqrt(mp.factorial(a)) for a in range(p.dim)]
+            num = mp.fsum(
+                e[a] * mp.mpc(A.matrix[a, b]) * mp.conj(e[b])
+                for a in range(p.dim)
+                for b in range(p.dim)
+            )
+            want = complex(num / mp.fsum(abs(x) ** 2 for x in e))
+            # measured <= 3.4e-16
+            assert abs(value - want) <= 1e-14 * abs(want)
+
+
 def _random_matrix_operator(params, seed):
     rng = np.random.default_rng(seed)
     d = params.dim

@@ -67,6 +67,24 @@ def test_radial_profile_interpolation():
     assert f(5.0)[0] == pytest.approx(0.0)  # beyond the table
 
 
+@pytest.mark.parametrize(
+    "radii, values",
+    [
+        ([0.0, 2.0, 1.0], [1.0, 0.5, 0.0]),
+        ([0.0, 1.0, 1.0], [1.0, 0.5, 0.0]),
+        ([0.0, 1.0], [1.0, 0.5, 0.0]),
+        ([[0.0, 1.0]], [[1.0, 0.5]]),
+        ([], []),
+    ],
+    ids=["descending", "repeated", "length", "2-d", "empty"],
+)
+def test_radial_rejects_a_table_interp_would_misread(radii, values):
+    # np.interp reads radii [0, 2, 1] as 0.875 / 0 / 0 at 0.5 / 1.5 / 1.9,
+    # where the sorted table reads 0.6 / 0.35 / 0.47
+    with pytest.raises(ValueError, match="Radial"):
+        Radial(radii=np.array(radii), values=np.array(values))
+
+
 def test_horizontal_imaginary_invariance():
     f = Horizontal(width=1.5)
     z = 0.7 + 0.2j
