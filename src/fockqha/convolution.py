@@ -6,16 +6,21 @@
 together with the trace identity Tr(A * B) = (pi t)^n Tr(A) Tr(B)
 and the adjoint duality relations, exposed as residual computations.
 
-Every dV integral is exact in the truncated model.  An entry of
-alpha_z(A) = W_z A W_z^* is a polynomial of degree <= 4D in (z, conj z)
-times exp(-|z|^2 / t), by the Laguerre form of the Weyl matrices; so is
-(A * B)(z).  Against a Gaussian kernel f = a exp(-|z - c|^2 / w),
-completing the square leaves the same polynomial times
-exp(-|z - mu|^2 / tau) with 1/tau = 1/t + 1/w and mu = (tau / w) c, and
-hermite_dv_grid at that centre and width, of order 2D + 1 per real axis,
-integrates it exactly.  Any other f, and the trace-identity integrand,
-use mu = 0 and tau = t; the rule is then exact for polynomial f of low
-degree and spectrally accurate for smooth f.
+Every dV integral is exact in the truncated model.  An entry
+<W_z e_b, e_a> is a polynomial of degree <= b in z and <= a in conj z
+times exp(-|z|^2 / 2t), by the Laguerre form of the Weyl matrices; so an
+entry of alpha_z(A) = W_z A W_z^*, and (A * B)(z), has degree <= 2D in z
+and <= 2D in conj z on each plane, times exp(-|z|^2 / t).  Against a
+Gaussian kernel f = a exp(-|z - c|^2 / w), completing the square leaves a
+polynomial of the same degrees times exp(-|z - mu|^2 / tau) with
+1/tau = 1/t + 1/w and mu = (tau / w) c, and polar_dv_grid at that centre
+and width, of order 2D + 1, integrates it exactly: on each plane, D + 1
+Gauss-Laguerre radii in |z - mu|^2 / tau times 2D + 2 equispaced angles,
+1250 nodes at D = 24 where the tensor Gauss-Hermite rule exact for the
+same integrands takes (2D + 1)^2 = 2401.  Any other f, and the
+trace-identity integrand, use mu = 0 and tau = t; the rule is then exact
+for f of degree <= 1 in z and in conj z on each plane (|z|^2 included)
+and spectrally accurate for smooth f.
 
 A centred Gaussian kernel (c = 0, every heat kernel f_s) takes a closed
 form instead, one complex plane at a time.  On a plane, f * A / (a pi w)
@@ -31,9 +36,9 @@ D never comes back.  Each band is mapped by one (D + 1)^2 kernel whose
 every term is positive, so nothing cancels (_noise_kernels): no
 quadrature, and no Weyl matrix.
 
-On the Hermite rules a conjugation W_z A W_z^* works at the rank r of
+On the polar rules a conjugation W_z A W_z^* works at the rank r of
 the operand: A = X Y^H is factored once by one SVD (operators._factors),
-and W_z A W_z^* = (W_z X)(W_z Y)^H.  Seven of the eight Hermite passes
+and W_z A W_z^* = (W_z X)(W_z Y)^H.  Seven of the eight quadrature passes
 of `verify` conjugate a rank-one operand.  The dropped part of A, below
 dim eps ||A|| in norm, adds at most ||f||_1 dim eps ||A|| to f * A
 (Young), the dense sum's own rounding.  An operand of rank r >= 2 dim / 3
@@ -43,11 +48,12 @@ W_z = D_u R D_u^*, with D_u diagonal and R real and depending on |z|
 alone (on the |z_k| at n >= 2), so W_z X = u o (R @ (conj(u) o X))
 is a real product: a node costs 8 dim^2 r real multiply-adds where
 complex Weyl matrices took 12, and a full-rank operand 6 dim^3 where
-they took 8.  R is built once per distinct radius among a block of
-nodes visited in radius order, (D + 1)^2 entries per radius and axis,
-and copied to each node; the centred order-49 rule has 325 radii for its
-2401 nodes, and verify's rules, centred at 0.3 on the real axis, have
-1225.
+they took 8.  R is built once per distinct radius, (D + 1)^2 entries
+per radius and axis, and copied to each node.  The order-49 rule's 1250
+nodes lie on 25 circles; centred, their moduli round to 77 distinct
+values across the angles, and about a real centre, as in verify, each
+plane's nodes pair up under conjugation with equal moduli bit for bit,
+625 radii.
 """
 
 from __future__ import annotations
@@ -67,15 +73,18 @@ from .model import (
     pc_operator,
 )
 from .operators import _conjugations, _pascal
-from .quadrature import GaussGrid, hermite_dv_grid
+from .quadrature import GaussGrid, polar_dv_grid
 from .symbols import Gaussian, Symbol
 
 
 @dataclass(frozen=True)
 class ConvolutionConfig:
-    """The Gauss-Hermite order per real axis of a convolution's dV rule.
+    """The order m of a convolution's polar dV rule (quadrature.polar_dv_grid).
 
-    Centred Gaussian kernels take a closed form and no rule.
+    It integrates p(z, conj z) exp(-|z - mu|^2 / tau) exactly when p has
+    degree <= m in z and <= m in conj z on each plane, with
+    (m + 1) ceil((m + 1) / 2) nodes per plane.  Centred Gaussian kernels
+    take a closed form and no rule.
     """
 
     m: int
@@ -91,7 +100,7 @@ def default_config(params: FockParams) -> ConvolutionConfig:
 
 
 def _dv_grid(params: FockParams, cfg: ConvolutionConfig, f=None) -> GaussGrid:
-    """The dV rule for f(z) times a polynomial times exp(-|z|^2 / t).
+    """The polar dV rule of order cfg.m for f(z) times a polynomial times exp(-|z|^2 / t).
 
     Centre and width come from completing the square against f when f is
     a Gaussian; otherwise the rule is centred at 0 with width t.  A
@@ -102,8 +111,8 @@ def _dv_grid(params: FockParams, cfg: ConvolutionConfig, f=None) -> GaussGrid:
         if f.n != params.n:
             raise ValueError(f"a Gaussian on C^{f.n} has no convolution rule on C^{params.n}")
         tau = t * f.width / (t + f.width)
-        return hermite_dv_grid(params.n, tau, cfg.m, (tau / f.width) * np.asarray(f.center))
-    return hermite_dv_grid(params.n, t, cfg.m)
+        return polar_dv_grid(params.n, tau, cfg.m, (tau / f.width) * np.asarray(f.center))
+    return polar_dv_grid(params.n, t, cfg.m)
 
 
 def r_t_operator(params: FockParams) -> FockOperator:
@@ -121,7 +130,7 @@ def _is_radial(f, params: FockParams) -> bool:
     """Whether f * A takes the closed form: f a centred Gaussian on C^n.
 
     Any other kernel, and a Gaussian whose dimension or amplitude the
-    Hermite path would reject, stays on the Hermite path.
+    quadrature path would reject, stays on the quadrature path.
     """
     return (
         isinstance(f, Gaussian)
@@ -199,10 +208,11 @@ def conv_fun_op(f, A: FockOperator, cfg: ConvolutionConfig) -> FockOperator:
     A centred Gaussian f takes the closed form (_radial_conv), whatever
     cfg says.  Otherwise the sum of c_i W_i A W_i^* over the nodes with
     nonzero weight c_i = w_i f(z_i) is one (dim x B r) by (B r x dim)
-    product per block of B nodes, on the rule of _dv_grid, with r the
-    rank of A in _conjugations (r = dim when A is kept whole).  Satisfies
-    ||f * A|| <= ||f||_{L^1} ||A|| up to truncation.  The blocks and the
-    summation order are fixed, so results are reproducible bit-for-bit.
+    product per block of B nodes, on the polar rule of _dv_grid, with r
+    the rank of A in _conjugations (r = dim when A is kept whole).
+    Satisfies ||f * A|| <= ||f||_{L^1} ||A|| up to truncation.  The blocks
+    and the summation order are fixed, so results are reproducible
+    bit-for-bit.
     A non-finite entry of A raises ValueError.
     """
     params = A.params

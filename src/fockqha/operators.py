@@ -17,7 +17,7 @@ rescaled three-term recurrence in degree for many points at once.  It
 agrees with a 30-digit mpmath evaluation to 3e-14 for D <= 60 and
 |z| <= 14, and to 1e-13 (each entry to 1e-12 relative) at |z| = 13 and 17
 for D = 24 and 40, which covers the exact convolution rules: their nodes
-reach |z| = 12.8 at D = 24 and 16.9 at D = 40.  The alternating binomial
+reach |z| = 9.2 at D = 24 and 12.1 at D = 40.  The alternating binomial
 series for the same elements is unstable (error 9e-3 at D = 40, |z| = 4,
 and 17 at |z| = 6) and is not used.
 """
@@ -208,12 +208,13 @@ def _conjugations(params: FockParams, zs: np.ndarray, A: np.ndarray):
     imaginary parts of M, half the multiply-adds of the complex product.
     Only a full-rank A forms W = (U o R) o conj(U)^T, for WY.  R depends
     on the moduli alone, so the points are visited in order of their
-    moduli, and each outer block of points builds R_k once per distinct
-    r_k among them (the centred order-49 rule has 325 moduli for its 2401
-    nodes) and gathers it per point.  An outer block's row is a point's
-    share of the R_k tables, at most one (D + 1)^2 table per axis; an
-    inner block's row is a point's R, conj(U) o M and W M, and W at full
-    rank.
+    moduli, in runs of equal moduli (rows of them at n >= 2).  An outer
+    block is a number of whole runs: it builds R_k once per distinct r_k
+    among them and gathers it per point, so each distinct modulus is
+    built once (the order-49 polar rule about a real centre has 625 for
+    its 1250 nodes).  An outer block's row is a run's share of the R_k
+    tables, at most one (D + 1)^2 table per axis; an inner block's row is
+    a point's R, conj(U) o M and W M, and W at full rank.
     """
     d, D, n = params.dim, params.D, params.n
     X, Y = _factors(A)
@@ -221,9 +222,12 @@ def _conjugations(params: FockParams, zs: np.ndarray, A: np.ndarray):
     row_bytes = 8 * d * d + 32 * d * M.shape[1] + (16 * d * d if Y is None else 0)
     r, u = _polar(zs, params.t)
     order = np.lexsort(r.T[::-1])
+    # the sorted points in runs of equal moduli, one run per distinct row
+    _, starts = np.unique(r[order], axis=0, return_index=True)
+    bounds = np.append(starts, zs.shape[0])
     idx = np.array(multi_indices(params))
-    for outer in _blocks(zs.shape[0], 8 * n * (D + 1) ** 2):
-        outer = order[outer]
+    for runs in _blocks(starts.size, 8 * n * (D + 1) ** 2):
+        outer = order[bounds[runs.start] : bounds[runs.stop]]
         tables = []
         for rk in r[outer].T:
             radii, inverse = np.unique(rk, return_inverse=True)
@@ -372,10 +376,15 @@ def berezin_values(A: FockOperator, points: np.ndarray) -> np.ndarray:
     out = np.empty(points.shape[0], dtype=complex)
     for rows in _blocks(points.shape[0], 16 * params.dim):
         # C[:, i] = coefficients of k_{z_i} without their Gaussian factor,
-        # which cancels in the ratio and underflows far out
+        # which cancels in the ratio and underflows far out; each column is
+        # scaled by its largest modulus, which cancels too, so that |C|^2
+        # does not overflow far out.  Cr holds the real and imaginary parts
+        # of C[:, i] in columns 2i and 2i + 1
         C = np.conj(basis_matrix(params, points[rows]))
+        Cr = C.view(float)
+        Cr *= np.repeat(1.0 / np.max(np.abs(C), axis=0), 2)
         raw = np.sum(np.conj(C) * (A.matrix @ C), axis=0)
-        out[rows] = raw / np.sum(np.abs(C) ** 2, axis=0)
+        out[rows] = raw / np.einsum("ap,ap->p", Cr, Cr).reshape(-1, 2).sum(axis=1)
     return out
 
 

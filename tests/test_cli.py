@@ -93,13 +93,19 @@ def test_m_flag_is_ignored_and_conv_keys_are_rejected(tmp_path, capsys):
         assert "unknown config key" in capsys.readouterr().err
 
 
-def run_module(argv):
-    """`python -m fockqha.cli` on argv with this checkout's src/ first on the path."""
+def run_module(argv, module="fockqha.cli"):
+    """`python -m module` on argv with this checkout's src/ first on the path."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.getenv("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    cmd = [sys.executable, "-m", "fockqha.cli", *argv]
+    cmd = [sys.executable, "-m", module, *argv]
     return subprocess.run(cmd, capture_output=True, text=True, env=env)
+
+
+def test_the_package_runs_as_a_module():
+    proc = run_module(["--help"], module="fockqha")
+    assert proc.returncode == 0, proc.stderr
+    assert "verify" in proc.stdout
 
 
 def _flag_lines(stdout):

@@ -46,7 +46,7 @@ from fockqha.operators import (
     toeplitz,
     weyl_matrices,
 )
-from fockqha.quadrature import hermite_dv_grid
+from fockqha.quadrature import hermite_dv_grid, polar_dv_grid
 from fockqha.symbols import Constant, Gaussian, PlaneWave, Translate, heat_gaussian
 
 P = FockParams(1, 1.0, 16, 20)
@@ -102,7 +102,9 @@ def test_conv_zero_function_gives_zero_operator():
 
 
 def test_conv_fun_op_matches_per_node_sum():
-    # the batched blocks against the defining sum c_i W_i A W_i^*, node by node
+    # the batched blocks against the defining sum c_i W_i A W_i^*, node by
+    # node; m = 12 is below the exact order, so the sum runs over the nodes
+    # of the rule the package uses
     p = FockParams(1, 1.0, 10, 12)
     cfg = ConvolutionConfig(12)
     f = Gaussian(center=0.3 - 0.2j, width=1.5)
@@ -111,8 +113,8 @@ def test_conv_fun_op_matches_per_node_sum():
     )
     # the square completed against f: 1/tau = 1/t + 1/1.5, centre (tau/1.5) c
     tau = 1.5 / 2.5
-    nodes, weights = hermite_dv(tau, 12, (tau / 1.5) * (0.3 - 0.2j))
-    want = per_node_sum(p, f, A, nodes, weights)
+    grid = polar_dv_grid(1, tau, 12, (tau / 1.5) * (0.3 - 0.2j))
+    want = per_node_sum(p, f, A, grid.nodes, grid.weights)
     got = conv_fun_op(f, A, cfg).matrix
     assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
 
@@ -239,29 +241,28 @@ def test_conjugation_blocks_only_move_the_boundaries(monkeypatch):
 
 
 def test_conjugations_build_one_real_block_per_radius(monkeypatch):
-    # the centred 2401-node rule at D = 24 has 325 distinct radii; the
-    # points are visited in radius order, so a radius is built again only
-    # where a block boundary splits its points
+    # the order-49 polar rule at D = 24: its 1250 nodes lie on 25 circles,
+    # and |z| rounds to several distinct moduli per circle when centred
+    # (77 measured); about a real centre the conjugate pairs tie bit for
+    # bit, 625 moduli.  The outer blocks take whole runs of equal moduli,
+    # so each modulus is built exactly once
     p = FockParams(1, 1.0, 24, 26)
-    nodes = hermite_dv_grid(1, p.t, 2 * p.D + 1).nodes
-    radii = np.unique(np.abs(nodes))
-    assert radii.size == 325
-    built, calls = [], []
+    built = []
     real_blocks = operators._real_blocks
 
     def counting(r, D):
         built.extend(r)
-        calls.append(r.size)
         return real_blocks(r, D)
 
     monkeypatch.setattr(operators, "_real_blocks", counting)
     A = rank_one(kernel_coefficients(p, 0.3), kernel_coefficients(p, 0.3))
-    for B in (A, operand(p, "full")):
-        built.clear()
-        calls.clear()
-        conv_op_op(B, B)(nodes)
-        assert len(built) <= radii.size + len(calls)
-        assert set(built) == set(radii)
+    for center in (0.0, 0.2):
+        nodes = polar_dv_grid(1, p.t, 2 * p.D + 1, center).nodes
+        moduli = np.unique(np.abs(nodes))
+        for B in (A, operand(p, "full")):
+            built.clear()
+            conv_op_op(B, B)(nodes)
+            assert sorted(built) == list(moduli)
 
 
 @pytest.mark.parametrize("params", [FockParams(1, 1.0, 6, 8), FockParams(2, 1.0, 4, 6)])

@@ -602,6 +602,27 @@ def test_berezin_values_far_from_the_origin(r):
             assert abs(value - want) <= 1e-14 * abs(want)
 
 
+@pytest.mark.parametrize("r", [1500.0, 2000.0])
+def test_berezin_values_do_not_overflow_far_out(r):
+    # at D = 60 the unscaled basis reaches r^60 / sqrt(60!), whose square
+    # overflows at r = 2000.  T of e^{-|z|^2/2} is diagonal with entries
+    # (2/3)^(k+1), so the value is their average against x^k / k!,
+    # x = r^2 / t, which tends to (2/3)^61 = 1.8e-11
+    import mpmath as mp
+
+    p = FockParams(1, 1.0, 60, 62)
+    A = toeplitz(p, Gaussian(width=2.0))
+    pts = r * np.exp(1j * np.array([0.0, 0.7, 2.0]))[:, None]
+    got = berezin_values(A, pts)
+    with mp.workdps(30):
+        x = mp.mpf(r) ** 2 / p.t
+        terms = [x**k / mp.factorial(k) for k in range(p.D + 1)]
+        q = mp.mpf(2) / 3
+        want = float(mp.fsum(q ** (k + 1) * e for k, e in enumerate(terms)) / mp.fsum(terms))
+    # measured 3.6e-15
+    assert np.max(np.abs(got - want)) <= 1e-13 * want
+
+
 def _random_matrix_operator(params, seed):
     rng = np.random.default_rng(seed)
     d = params.dim
