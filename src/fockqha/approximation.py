@@ -20,15 +20,15 @@ Two steps realize the constructive scheme:
    with the Toeplitz operator T_{g_N}.  g_N is evaluated translates first,
    not one Berezin pass per translate: for each point r one Gram matrix
    H_r of the translated basis rows, weighted by c_j over their squared
-   norms, gives g_N(r) = <A, H_r>.  Every fit lattice is closed under
-   z -> i z and conjugation with coefficients equal on each orbit, so one
-   H_r gives g_N at all eight points of the orbit of r (the docstring of
+   norms (rows scaled first where those overflow), gives
+   g_N(r) = <A, H_r>.  Every fit lattice is closed under z -> i z and
+   conjugation with coefficients equal on each orbit, so one H_r gives
+   g_N at all eight points of the orbit of r (the docstring of
    operators.BerezinTranslateSum explains how).  It agrees with the
    explicit sum of translates (the symbol's `parts`) to 2.0e-12 of
-   max |g_N|.  Alongside runs the
-   baseline curve ||A - f_{t/N} * A||_op, which must dominate the error
-   up to ||A|| times the fit residual (Young's inequality
-   ||f * A|| <= ||f||_1 ||A|| has constant 1).
+   max |g_N|.  Alongside runs the baseline curve ||A - f_{t/N} * A||_op,
+   which must dominate the error up to ||A|| times the fit residual
+   (Young's inequality ||f * A|| <= ||f||_1 ||A|| has constant 1).
 """
 
 from __future__ import annotations
@@ -152,13 +152,14 @@ def build_symbol_from_berezin(A: FockOperator, fit: HeatKernelFit) -> Symbol:
     Nodes outside the Berezin trusted window are flagged with a warning
     (evaluation still proceeds; the bias grows with |z|).
     """
+    symbol = BerezinTranslateSum(A, fit.nodes, fit.coefficients)  # validates before warning
     # |z| as sqrt(sum |z_k|^2): np.linalg.norm rounds the lattice nodes that
     # lie on the window's edge differently and would change the count
     norms = np.sqrt(np.sum(np.abs(fit.nodes) ** 2, axis=1))
     outside = np.count_nonzero(norms > A.params.trusted_radius)
     if outside:
         _warn(f"{outside} fit nodes lie outside the trusted Berezin window")
-    return BerezinTranslateSum(A, fit.nodes, fit.coefficients)
+    return symbol
 
 
 @dataclass

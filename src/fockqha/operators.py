@@ -33,6 +33,7 @@ from .model import (
     FockOperator,
     FockParams,
     _basis_rows,
+    _check_finite,
     _grid_basis,
     _pair_pick,
     _point_rows,
@@ -357,6 +358,22 @@ def toeplitz(params: FockParams, f) -> FockOperator:
     return FockOperator(params, H.reshape((d, d) * params.n)[_pair_pick(params)])
 
 
+def _squared_norms(E: np.ndarray) -> np.ndarray:
+    """Squared column norms of the complex (dim, P) array E: the one overflow rule.
+
+    A column whose squared norm is not finite is first divided, in place,
+    by its largest modulus, which cancels in a renormalised Berezin value.
+    """
+    Er = E.view(float)
+    with np.errstate(over="ignore"):
+        norms = np.einsum("ap,ap->p", Er, Er).reshape(-1, 2).sum(axis=1)
+    far = ~np.isfinite(norms)
+    if far.any():
+        E[:, far] /= np.max(np.abs(E[:, far]), axis=0)
+        norms[far] = np.sum(np.abs(E[:, far]) ** 2, axis=0)
+    return norms
+
+
 def berezin_values(A: FockOperator, points: np.ndarray) -> np.ndarray:
     """Berezin transform values A~(z) = <A k_z, k_z> at the given points.
 
@@ -365,26 +382,20 @@ def berezin_values(A: FockOperator, points: np.ndarray) -> np.ndarray:
     contraction |A~| <= ||A||_op holds at every point and the transform
     of the identity is exactly 1 everywhere; inside the trusted window
     this agrees with the raw coefficient contraction up to the (tiny)
-    truncation defect.  The points are evaluated a block at a time, the
-    block size following from _CHUNK_BYTES counted as 16 dim bytes per
-    point (1598 points at dim = 41), so memory stays O(dim x block)
-    whatever P is.  A block's products round like a one-point evaluation
-    to within 1e-15 of max |value|.
+    truncation defect.  The Gaussian factor of k_z cancels and is left
+    out, and _squared_norms scales a column whose square would overflow,
+    so values stay finite while |z|^D does (|z| <= 1.35e5 at D = 60).
+    Points go a block at a time, 16 dim bytes each within _CHUNK_BYTES
+    (1598 points at dim = 41), so memory is O(dim x block) whatever P is,
+    and values round like one-point evaluations to 1e-15 of max |value|.
     """
     params = A.params
     points = _point_rows(params, points)
     out = np.empty(points.shape[0], dtype=complex)
     for rows in _blocks(points.shape[0], 16 * params.dim):
-        # C[:, i] = coefficients of k_{z_i} without their Gaussian factor,
-        # which cancels in the ratio and underflows far out; each column is
-        # scaled by its largest modulus, which cancels too, so that |C|^2
-        # does not overflow far out.  Cr holds the real and imaginary parts
-        # of C[:, i] in columns 2i and 2i + 1
-        C = np.conj(basis_matrix(params, points[rows]))
-        Cr = C.view(float)
-        Cr *= np.repeat(1.0 / np.max(np.abs(C), axis=0), 2)
-        raw = np.sum(np.conj(C) * (A.matrix @ C), axis=0)
-        out[rows] = raw / np.einsum("ap,ap->p", Cr, Cr).reshape(-1, 2).sum(axis=1)
+        E = basis_matrix(params, points[rows])  # k_{z_i} without its Gaussian factor
+        norms = _squared_norms(E)
+        out[rows] = np.sum(E * (A.matrix @ np.conj(E)), axis=0) / norms
     return out
 
 
@@ -399,27 +410,6 @@ class BerezinSymbol(Symbol):
         return berezin_values(self.A, points)
 
 
-def _row_keys(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """One bytes key per row of points given by their real and imaginary parts.
-
-    Equal keys mean equal coordinates; adding 0.0 maps -0.0 to 0.0.
-    """
-    f = np.ascontiguousarray(np.concatenate([re, im], axis=1) + 0.0)
-    return f.view(np.dtype((np.void, 8 * f.shape[1])))[:, 0]
-
-
-def _image_index(z: np.ndarray, image: np.ndarray) -> np.ndarray:
-    """For distinct rows z[k] of C^n, the row index of image[k] among them, or -1.
-
-    The match is by exact coordinates, so an image formed by swapping and
-    negating parts (i z, conj z) finds its row whenever it is one.
-    """
-    keys, images = _row_keys(z.real, z.imag), _row_keys(image.real, image.imag)
-    order = np.argsort(keys)
-    pos = order[np.minimum(np.searchsorted(keys[order], images), z.shape[0] - 1)]
-    return np.where(keys[pos] == images, pos, -1)
-
-
 class BerezinTranslateSum(Symbol):
     """The symbol g(x) = sum_j c_j A~(x - z_j): weighted translates of a Berezin transform.
 
@@ -429,12 +419,14 @@ class BerezinTranslateSum(Symbol):
     (the Gaussian factor of k_w cancels).  So g(r) = <A, H_r>, the sum of
     the entrywise product, with the d x d matrix
     H_r = sum_j (c_j / |E(r - z_j)|^2) E(r - z_j) E(r - z_j)^H,
-    one product over the J translates for each point r.
+    one product over the J translates for each point r.  As in
+    berezin_values, _squared_norms scales E(w) where |E(w)|^2 overflows.
 
     E_a(i^m w) = i^{m|a|} E_a(w) and E_a(conj w) = conj(E_a(w)) exactly.
     When the nodes are distinct, closed under z -> i z and z -> conj z, and
-    c is bit for bit equal on the images (as on every fit lattice), the
-    sum over j may be re-indexed by the image nodes, so
+    c is bit for bit equal on the images (as on every fit lattice; nodes,
+    images and c are compared sorted by coordinates), the sum over j may
+    be re-indexed by the image nodes, so
     g(i^m r) = <A o Phi_m, H_r> with Phi_m[a, b] = i^{m(|a| - |b|)}, and
     g(i^m conj r) = <(A o Phi_m)^T, H_r>: one H_r gives the eight values of
     the orbit of r.  Each point x is folded into the octant
@@ -443,8 +435,8 @@ class BerezinTranslateSum(Symbol):
     per distinct r.  Otherwise every distinct point is its own r and only
     <A, H_r> is taken.  A point's value does not depend on the other
     points evaluated with it.  The (point, translate) pairs are taken a
-    block at a time, and with no nodes g = 0.  A coefficient count other
-    than the node count raises ValueError.
+    block at a time, and with no nodes g = 0.  Non-finite nodes or
+    coefficients, or unequal counts of them, raise ValueError.
 
     Against the sum of its `parts`, the explicit expansion, it agrees to
     2.0e-12 / 1.1e-12 / 4.4e-13 of max |g| on the D = 24 grid at N = 8 for
@@ -463,6 +455,8 @@ class BerezinTranslateSum(Symbol):
             raise ValueError(
                 f"{self.coefficients.size} coefficients for {self.nodes.shape[0]} nodes"
             )
+        _check_finite(self.nodes)
+        _check_finite(self.coefficients)
 
     @property
     def parts(self) -> list:
@@ -473,10 +467,17 @@ class BerezinTranslateSum(Symbol):
     def _symmetric(self) -> bool:
         """Whether the nodes are distinct, closed under z -> i z and conj, and c equal on images."""
         c, z = self.coefficients, self.nodes
-        if np.unique(_row_keys(z.real, z.imag)).size != z.shape[0]:
+
+        def by_coordinates(w):
+            # the sort compares values, so -0.0 and 0.0 are equal keys
+            order = np.lexsort(np.concatenate([w.real, w.imag], axis=1).T)
+            return w[order], c[order]
+
+        zs, cs = by_coordinates(z)
+        if np.any(np.all(zs[1:] == zs[:-1], axis=1)):
             return False
-        images = (_image_index(z, 1j * z), _image_index(z, np.conj(z)))
-        return all(np.all(k >= 0) and np.array_equal(c[k], c) for k in images)
+        images = (by_coordinates(1j * z), by_coordinates(np.conj(z)))
+        return all(np.array_equal(v, zs) and np.array_equal(cv, cs) for v, cv in images)
 
     def eval(self, points):
         params = self.A.params
@@ -500,9 +501,7 @@ class BerezinTranslateSum(Symbol):
             k = np.arange(4)[:, None, None] * (deg[:, None] - deg)
             turned = A * np.array([1, 1j, -1, -1j])[k % 4]  # A o Phi_m, m = 0..3, exactly
             F = np.concatenate([turned, turned.transpose(0, 2, 1)]).reshape(8, -1).T
-        _, first, inverse = np.unique(
-            _row_keys(R.real, R.imag), return_index=True, return_inverse=True
-        )
+        _, first, inverse = np.unique(R, axis=0, return_index=True, return_inverse=True)
         return self._orbit_values(R[first], F)[inverse.reshape(-1), col]
 
     def _orbit_values(self, X: np.ndarray, F: np.ndarray) -> np.ndarray:
@@ -518,8 +517,7 @@ class BerezinTranslateSum(Symbol):
                 zs = self.nodes[j]
                 pairs = (xs[:, None, :] - zs[None, :, :]).reshape(-1, n)
                 E = _basis_rows(params, pairs, np.arange(d))  # (d, pairs), point-major pairs
-                Er = E.view(float)
-                norms = np.einsum("ap,ap->p", Er, Er).reshape(xs.shape[0], -1, 2).sum(axis=2)
+                norms = _squared_norms(E).reshape(xs.shape[0], -1)
                 E = E.reshape(d, xs.shape[0], -1).transpose(1, 0, 2)  # (point, a, node)
                 w = self.coefficients[j] / norms
                 H += (E * w[:, None, :]) @ np.conj(E).transpose(0, 2, 1)

@@ -28,6 +28,7 @@ from fockqha.model import (
 from fockqha.operators import (
     _CHUNK_BYTES,
     BerezinSymbol,
+    BerezinTranslateSum,
     alpha_op,
     berezin,
     berezin_values,
@@ -602,24 +603,32 @@ def test_berezin_values_far_from_the_origin(r):
             assert abs(value - want) <= 1e-14 * abs(want)
 
 
+def _translate_sum_at_shifted_points(A, pts):
+    # g = A~(. - z0) with one node z0, so g(x + z0) = A~(x)
+    z0 = 0.5 - 0.2j
+    return BerezinTranslateSum(A, [z0], [1.0]).eval(pts + z0)
+
+
+@pytest.mark.parametrize("evaluate", [berezin_values, _translate_sum_at_shifted_points])
 @pytest.mark.parametrize("r", [1500.0, 2000.0])
-def test_berezin_values_do_not_overflow_far_out(r):
+def test_berezin_values_do_not_overflow_far_out(r, evaluate):
     # at D = 60 the unscaled basis reaches r^60 / sqrt(60!), whose square
-    # overflows at r = 2000.  T of e^{-|z|^2/2} is diagonal with entries
-    # (2/3)^(k+1), so the value is their average against x^k / k!,
-    # x = r^2 / t, which tends to (2/3)^61 = 1.8e-11
+    # overflows at r = 2000, so only there is a column scaled.  T of
+    # e^{-|z|^2/2} is diagonal with entries (2/3)^(k+1), so the value is
+    # their average against x^k / k!, x = r^2 / t, which tends to
+    # (2/3)^61 = 1.8e-11
     import mpmath as mp
 
     p = FockParams(1, 1.0, 60, 62)
     A = toeplitz(p, Gaussian(width=2.0))
     pts = r * np.exp(1j * np.array([0.0, 0.7, 2.0]))[:, None]
-    got = berezin_values(A, pts)
+    got = evaluate(A, pts)
     with mp.workdps(30):
         x = mp.mpf(r) ** 2 / p.t
         terms = [x**k / mp.factorial(k) for k in range(p.D + 1)]
         q = mp.mpf(2) / 3
         want = float(mp.fsum(q ** (k + 1) * e for k, e in enumerate(terms)) / mp.fsum(terms))
-    # measured 3.6e-15
+    # measured <= 3.4e-15 on both paths
     assert np.max(np.abs(got - want)) <= 1e-13 * want
 
 

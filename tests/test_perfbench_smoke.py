@@ -22,6 +22,11 @@ SPANS = {
     "two_variables": "operators.toeplitz.calls",
 }
 
+# workloads whose Berezin probes the tracer sees through model.basis_matrix:
+# berezin_values must run and build its columns there, besides the plane
+# basis, or the basis counters would silently miss the probes
+BEREZIN_PROBES = {"semiclassical", "two_variables"}
+
 
 @pytest.mark.parametrize("workload", sorted(SPANS))
 def test_small_traced_pass(workload):
@@ -33,4 +38,8 @@ def test_small_traced_pass(workload):
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True, proc.stderr
     assert result["failed"] == 0, proc.stderr
-    assert result["metrics"][SPANS[workload]]["value"] > 0
+    metrics = result["metrics"]
+    assert metrics[SPANS[workload]]["value"] > 0
+    if workload in BEREZIN_PROBES:
+        assert metrics["operators.berezin_values.calls"]["value"] > 0
+        assert metrics["model.basis_matrix.calls"]["value"] >= 2
