@@ -20,7 +20,8 @@ from fockqha.symbols import Gaussian
 
 params = FockParams(n=1, t=1.0, D=16, Q=20)
 cfg = default_config(params)
-print(f"dV rule: polar order {cfg.m} = 2D + 1 (Gauss-Laguerre radii x equispaced angles), exact for every integral below")
+print(f"dV rule: polar order {cfg.m} = 2D + 1 (Gauss-Laguerre radii x equispaced angles), exact for the pointwise integrals below")
+print("Gaussian kernels f * A: closed form, noise channel plus one Weyl conjugation per plane (no rule)")
 
 # trace identity for a pair of coherent projections
 k1 = kernel_coefficients(params, 0.3)

@@ -249,8 +249,9 @@ def approximate_identity_sweep(A: FockOperator, s_list):
     For operators in the trusted (Toeplitz-built) class the errors
     decrease as s -> 0.  The errors are spectral norms of the trusted
     sub-block (degrees <= D/2): conjugation by truncated Weyl matrices is
-    not exact at the top degrees.  Each f_s * A is the exact rule of order
-    2D + 1, centred and scaled for f_s.
+    not exact at the top degrees.  Each f_s * A is the closed form of
+    conv_fun_op for a centred Gaussian, the classical-noise channel, exact
+    to rounding; no dV rule is built.
     """
     params = A.params
     cfg = default_config(params)

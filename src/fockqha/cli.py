@@ -18,8 +18,9 @@ which writes no report.
 Determinism: the seed fixes every randomized choice, and importing
 ``fockqha`` defaults the BLAS thread-count variables to 1 before numpy
 loads.  ``--threads`` is accepted and ignored, so it never changes any
-output byte.  So is ``--m``: every convolution uses the exact polar
-rule of order 2D + 1.
+output byte.  So is ``--m``: every dV rule of the convolutions has the
+exact order 2D + 1, and a Gaussian kernel takes a closed form and no
+rule.
 """
 
 from __future__ import annotations

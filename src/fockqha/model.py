@@ -136,8 +136,22 @@ def basis_matrix(params: FockParams, points: np.ndarray) -> np.ndarray:
 
 
 def _basis_rows(params: FockParams, points: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """E[r, i] = e_{alpha_{rows[r]}}(points[i]) for the given positions rows of the basis order."""
+    """E[r, i] = e_{alpha_{rows[r]}}(points[i]) for the given positions rows of the basis order.
+
+    The powers z^k are formed before the norm factors, and both the
+    powers and the scaled values are at most (|z| / min(1, sqrt t))^k at
+    degree k, so a coordinate past float_max^(1/D) min(1, sqrt t) raises
+    ValueError naming that limit: 1.37e5 at D = 60, t = 1.
+    """
     P = points.shape[0]
+    if params.D and P:
+        limit = np.finfo(float).max ** (1.0 / params.D) * min(1.0, math.sqrt(params.t))
+        far = np.max(np.abs(points))
+        if far > limit:
+            raise ValueError(
+                f"|z| = {far:.4g} is past {limit:.4g}, where the degree-{params.D} basis "
+                f"values overflow (t = {params.t})"
+            )
     idx = np.array(multi_indices(params))[rows]
     # per-axis power tables z_a^k, k = 0..D
     powers = []

@@ -12,7 +12,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from fockqha import operators
+from fockqha import convolution, operators
 from fockqha.convolution import (
     ConvolutionConfig,
     OperatorConvolution,
@@ -47,7 +47,7 @@ from fockqha.operators import (
     weyl_matrices,
 )
 from fockqha.quadrature import hermite_dv_grid, polar_dv_grid
-from fockqha.symbols import Constant, Gaussian, PlaneWave, Translate, heat_gaussian
+from fockqha.symbols import Constant, Gaussian, PlaneWave, Polynomial, Translate, heat_gaussian
 
 P = FockParams(1, 1.0, 16, 20)
 CFG = default_config(P)
@@ -102,18 +102,17 @@ def test_conv_zero_function_gives_zero_operator():
 
 
 def test_conv_fun_op_matches_per_node_sum():
-    # the batched blocks against the defining sum c_i W_i A W_i^*, node by
-    # node; m = 12 is below the exact order, so the sum runs over the nodes
-    # of the rule the package uses
+    # the batched blocks of the quadrature path against the defining sum
+    # c_i W_i A W_i^*, node by node.  A Translate of a Gaussian is not a
+    # Gaussian, so it takes the rule, centred at 0 with width t; m = 12 is
+    # below the exact order, so the sum runs over the nodes of that rule
     p = FockParams(1, 1.0, 10, 12)
     cfg = ConvolutionConfig(12)
-    f = Gaussian(center=0.3 - 0.2j, width=1.5)
+    f = Translate(Gaussian(width=1.5), 0.3 - 0.2j)
     A = toeplitz(p, Gaussian(center=-0.4, width=2.0)) + 0.5 * rank_one(
         kernel_coefficients(p, 0.2j), kernel_coefficients(p, 0.5)
     )
-    # the square completed against f: 1/tau = 1/t + 1/1.5, centre (tau/1.5) c
-    tau = 1.5 / 2.5
-    grid = polar_dv_grid(1, tau, 12, (tau / 1.5) * (0.3 - 0.2j))
+    grid = polar_dv_grid(1, p.t, 12)
     want = per_node_sum(p, f, A, grid.nodes, grid.weights)
     got = conv_fun_op(f, A, cfg).matrix
     assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
@@ -171,9 +170,42 @@ def test_factors_keep_the_rank(n, D, rank):
 
 @pytest.mark.parametrize("n, D, rank", RANK_CASES)
 def test_conv_fun_op_at_the_operands_rank_matches_per_node_sum(n, D, rank):
-    # the factored conjugations (full rank: the dense ones) against the
-    # defining sum on the exact rule; measured <= 1.3e-15 of max |entry|,
-    # and 2.5e-15 at full rank (D = 24), where W = D_u R D_u^* is formed
+    # the factored conjugations (full rank: the dense ones) of the
+    # quadrature path against the defining sum on the same nodes.  A
+    # Translate of a Gaussian is not a Gaussian, so it takes the polar rule
+    # of order 2D + 1 about 0 with width t; measured <= 1.8e-15 of max |entry|
+    p = FockParams(n, 1.0, D, D + 2)
+    A = operand(p, rank)
+    f = Translate(Gaussian(width=1.5, n=n), np.full(n, 0.3 - 0.2j))
+    grid = convolution._dv_grid(p, default_config(p), f)
+    want = per_node_sum(p, f, A, grid.nodes, grid.weights)
+    got = conv_fun_op(f, A, default_config(p)).matrix
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    if rank == 0:
+        assert not np.any(got)
+
+
+# the covariance route conjugates once by a Weyl block built in numpy's
+# longdouble; cases whose float64 block reads more than half their 1e-14
+# bound need it to be wider than float64 (x86-64 extended precision)
+EXTENDED = pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+    reason="needs a longdouble wider than float64",
+)
+
+
+@pytest.mark.parametrize(
+    "n, D, rank",
+    [
+        pytest.param(*case.values, id=case.id, marks=EXTENDED if case.values[1:] in [(24, "full"), (40, "full")] else ())
+        for case in RANK_CASES
+    ],
+)
+def test_off_centre_gaussian_at_the_operands_rank_matches_per_node_hermite_sum(n, D, rank):
+    # the covariance route at every rank of the operand against the
+    # defining sum on the Hermite rule completed against f, exact at order
+    # 2D + 1; measured <= 1.3e-15 of max |entry| at ranks 1 and 2 and
+    # 3.5e-15 at full rank (D = 40), where a float64 block read 7.1e-15
     p = FockParams(n, 1.0, D, D + 2)
     A = operand(p, rank)
     c = np.full(n, 0.3 - 0.2j)
@@ -225,9 +257,10 @@ def test_gaussian_on_another_dimension_names_both():
 
 def test_conjugation_blocks_only_move_the_boundaries(monkeypatch):
     # one point per block against the default blocks, for conv_fun_op on its
-    # Hermite path and OperatorConvolution.eval; measured 5.5e-16 and 0 of max |entry|
+    # quadrature path (a Translate is not a Gaussian) and
+    # OperatorConvolution.eval; measured 5.5e-16 and 0 of max |entry|
     p = FockParams(1, 1.0, 8, 10)
-    f = Gaussian(center=0.3 - 0.2j, width=1.5)
+    f = Translate(Gaussian(width=1.5), 0.3 - 0.2j)
     A = toeplitz(p, Gaussian(center=-0.4, width=2.0)) + 0.5 * rank_one(
         kernel_coefficients(p, 0.2j), kernel_coefficients(p, 0.5)
     )
@@ -462,12 +495,20 @@ def test_two_pipeline_residual_is_toeplitz_error(gaussian_pipelines):
     assert residual <= 4e-15
 
 
-# a centred Gaussian takes the closed form whatever cfg.m says, so only the
-# off-centre kernel tests the Hermite order; the closed form is checked
+def _off_centre_square(a, c):
+    """a |z - c|^2 as a Polynomial."""
+    return Polynomial(
+        [((1,), (1,), a), ((1,), (0,), -a * np.conj(c)), ((0,), (1,), -a * c), ((0,), (0,), a * abs(c) ** 2)]
+    )
+
+
+# every Gaussian takes the closed form whatever cfg.m says, so the order is
+# tested on a kernel of degree 1 in z and in conj z, for which the rule
+# about 0 of width t is exact at order 2D + 1.  With a = 0.02, f * A has
+# max |entry| 2.6, the size the Gaussian kernel of this test gave (2.5),
+# and the two orders measured 5.5e-15 apart.  The closed form is checked
 # against its oracles below
-@pytest.mark.parametrize(
-    "f", [Gaussian(center=0.7 - 0.4j, width=1.5, amplitude=0.5)], ids=["off-centre"]
-)
+@pytest.mark.parametrize("f", [_off_centre_square(0.02, 0.7 - 0.4j)], ids=["off-centre"])
 def test_conv_fun_op_is_exact_at_order_2d_plus_1(f):
     rng = np.random.default_rng(3)
     c = rng.standard_normal((2, P.dim)) + 1j * rng.standard_normal((2, P.dim))
@@ -508,6 +549,88 @@ def test_radial_rule_matches_per_node_hermite_sum(n, D, s):
     assert np.max(np.abs(got - want)) < 1e-14 * np.max(np.abs(want))
 
 
+COVARIANCE_CASES = [
+    pytest.param(1, D, c, id=f"n1-D{D}-c{c}", marks=EXTENDED if (D, c) in [(40, 0.3), (40, -0.3)] else ())
+    for D in (10, 24, 40)
+    for c in (0.3, -0.3, 0.3 + 0.2j, 1.0, 1.66j, 2.0)
+] + [
+    pytest.param(2, 6, (0.3, -0.2j), id="n2-D6"),
+    pytest.param(3, 2, (0.3 - 0.2j, 2.0, -1.0j), id="n3-D2"),
+]
+
+
+@pytest.mark.parametrize("n, D, c", COVARIANCE_CASES)
+def test_off_centre_gaussian_matches_per_node_hermite_sum(n, D, c):
+    # translation covariance, f(. - c) * A = W_c (f_0 * A) W_c^*, one plane
+    # at a time on the padded box, against the defining sum on the Hermite
+    # rule completed against f, exact at order 2D + 1: the oracle shares no
+    # code with the noise channel.  Measured <= 2.2e-15 of max |entry|; a
+    # float64 Weyl block read 9.1e-15 at D = 40, c = 0.3 (1.3e-14 on
+    # another random operand)
+    p = FockParams(n, 1.0, D, D + 2)
+    rng = np.random.default_rng(14)
+    A = FockOperator(p, rng.standard_normal((p.dim, p.dim)) + 1j * rng.standard_normal((p.dim, p.dim)))
+    c = np.broadcast_to(np.asarray(c, dtype=complex), (n,))
+    f = Gaussian(center=c, width=1.5, n=n)
+    tau = 1.5 / 2.5
+    grid = hermite_dv_grid(n, tau, 2 * D + 1, (tau / 1.5) * c)
+    want = per_node_sum(p, f, A, grid.nodes, grid.weights)
+    got = conv_fun_op(f, A, ConvolutionConfig(1)).matrix
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_gaussian_kernels_take_no_quadrature(monkeypatch):
+    # every Gaussian on the model's C^n takes the closed form: no dV rule is
+    # built and no Weyl conjugation is summed, at any centre the K rule admits
+    def refuse(*args, **kwargs):
+        raise AssertionError("the quadrature path was taken")
+
+    monkeypatch.setattr(convolution, "_dv_grid", refuse)
+    monkeypatch.setattr(convolution, "_conjugations", refuse)
+    p2 = FockParams(2, 1.0, 4, 6)
+    cases = [
+        (P, heat_gaussian(0.5)),
+        (P, Gaussian(center=0.3, width=2.0)),
+        (P, Gaussian(center=-2.0 + 1.0j, width=0.5, amplitude=1j)),
+        (p2, Gaussian(center=[0.3, 0.0], width=1.5, n=2)),
+        (p2, Gaussian(center=0.3 - 0.2j, width=1.5, n=2)),
+    ]
+    for p, f in cases:
+        out = conv_fun_op(f, pc_operator(p), default_config(p))
+        assert np.all(np.isfinite(out.matrix)) and np.any(out.matrix)
+    toeplitz_via_convolution(Gaussian(center=0.3, width=2.0), P, CFG)
+
+
+def test_far_centre_takes_the_exact_rule():
+    # |c| = 6 would pad the plane past degree 200 at D = 24, so the
+    # Gaussian takes the polar rule completed against it, exact at order
+    # 2D + 1: the same nodes summed one by one, measured 2.5e-15 of max
+    # |entry|.  The shifted operand still lies partly inside the box: f * A
+    # reaches 0.36 of max |A|
+    p = FockParams(1, 1.0, 24, 26)
+    f = Gaussian(center=6.0, width=1.5)
+    assert convolution._padding(p.t, p.D, 6.0) is None
+    assert convolution._gaussian_paddings(f, p) is None
+    A = operand(p, "full")
+    grid = convolution._dv_grid(p, default_config(p), f)
+    want = per_node_sum(p, f, A, grid.nodes, grid.weights)
+    got = conv_fun_op(f, A, default_config(p)).matrix
+    assert np.max(np.abs(want)) > 0.1 * np.max(np.abs(A.matrix))
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("center", [20.0, 1e6])
+def test_padding_stops_at_its_cap(center):
+    # the K rule's loop ends once D + K passes 200, however far out the
+    # centre (|c|^2 overflows at 1e200); so far out, the shifted operand
+    # leaves the box
+    assert convolution._padding(P.t, P.D, 5.0) is not None
+    assert convolution._padding(P.t, P.D, center) is None
+    assert convolution._padding(P.t, P.D, 1e200) is None
+    out = conv_fun_op(Gaussian(center=center, width=1.0), pc_operator(P), CFG)
+    assert np.max(np.abs(out.matrix)) < 1e-60
+
+
 @pytest.mark.parametrize("n, D", [(1, 24), (1, 40), (1, 60), (2, 12), (3, 4)])
 @pytest.mark.parametrize("s", [1.0, 0.125, 4.0])
 def test_heat_kernel_takes_the_vacuum_to_the_thermal_state(n, D, s):
@@ -531,3 +654,5 @@ def test_radial_rule_keeps_the_hermite_paths_errors():
         conv_fun_op(heat_gaussian(1.0), identity_operator(p2), ConvolutionConfig(3))
     with pytest.raises(ValueError, match="non-finite"):
         conv_fun_op(Gaussian(amplitude=np.nan), pc_operator(P), ConvolutionConfig(3))
+    with pytest.raises(ValueError, match="non-finite"):
+        conv_fun_op(Gaussian(center=np.nan), pc_operator(P), ConvolutionConfig(3))

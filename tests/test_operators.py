@@ -8,6 +8,7 @@ recurrence that computes them.
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -630,6 +631,19 @@ def test_berezin_values_do_not_overflow_far_out(r, evaluate):
         want = float(mp.fsum(q ** (k + 1) * e for k, e in enumerate(terms)) / mp.fsum(terms))
     # measured <= 3.4e-15 on both paths
     assert np.max(np.abs(got - want)) <= 1e-13 * want
+
+
+@pytest.mark.parametrize("evaluate", [berezin_values, _translate_sum_at_shifted_points])
+def test_berezin_values_past_the_power_limit_raise(evaluate):
+    # the basis powers z^60 pass the float maximum at |z| = 1.37e5; there
+    # the value would be NaN with an overflow warning, so it raises instead
+    p = FockParams(1, 1.0, 60, 62)
+    A = toeplitz(p, Gaussian(width=2.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.all(np.isfinite(evaluate(A, np.array([[1.35e5]]))))
+        with pytest.raises(ValueError, match=r"\|z\| = 1\.4e\+05 is past 1\.373e\+05"):
+            evaluate(A, np.array([[1.4e5]]))
 
 
 def _random_matrix_operator(params, seed):
