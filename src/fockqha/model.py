@@ -15,7 +15,7 @@ import os
 import sys
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -131,46 +131,42 @@ def basis_matrix(params: FockParams, points: np.ndarray) -> np.ndarray:
     """Evaluate all basis elements at many points: E[j, i] = e_{alpha_j}(points[i]).
 
     points: (P, n) complex array, or one point of shape (n,).
+
+    Each plane's table e_k(z_a), k = 0..D, is the normalised running
+    product e_0 = 1, e_k = e_{k-1} z_a / sqrt(k t): the (D, P) steps are
+    formed once, then D in-place row products.  At n = 1 the table is the
+    result; at n >= 2 the planes' rows are gathered and multiplied.  It
+    matches 40-digit mpmath to 4e-15 relative per entry for D <= 60 and
+    |z| <= 9 (measured 1.7e-15 at D = 60, t = 0.3).  By the multinomial
+    theorem e_alpha(z) <= e_{|alpha|}(|z|), which grows with the degree
+    once |z|^2 >= D t, so a point with |z| past
+    (float_max sqrt(D!))^(1/D) sqrt(t) raises ValueError naming that
+    limit: 6.611e5 at D = 60, t = 1.
     """
-    return _basis_rows(params, _point_rows(params, points), np.arange(params.dim))
-
-
-def _basis_rows(params: FockParams, points: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """E[r, i] = e_{alpha_{rows[r]}}(points[i]) for the given positions rows of the basis order.
-
-    The powers z^k are formed before the norm factors, and both the
-    powers and the scaled values are at most (|z| / min(1, sqrt t))^k at
-    degree k, so a coordinate past float_max^(1/D) min(1, sqrt t) raises
-    ValueError naming that limit: 1.37e5 at D = 60, t = 1.
-    """
-    P = points.shape[0]
-    if params.D and P:
-        limit = np.finfo(float).max ** (1.0 / params.D) * min(1.0, math.sqrt(params.t))
-        far = np.max(np.abs(points))
+    points = _point_rows(params, points)
+    P, D = points.shape[0], params.D
+    if D and P:
+        # less 1e-12 relative, far more than the rounding of the limit and of the D products
+        log_limit = (math.log(np.finfo(float).max) + 0.5 * math.lgamma(D + 1)) / D - 1e-12
+        limit = math.exp(log_limit) * math.sqrt(params.t)
+        far = np.max(reduce(np.hypot, np.abs(points).T))  # the Euclidean |z| of each point
         if far > limit:
             raise ValueError(
-                f"|z| = {far:.4g} is past {limit:.4g}, where the degree-{params.D} basis "
+                f"|z| = {far:.4g} is past {limit:.4g}, where the degree-{D} basis "
                 f"values overflow (t = {params.t})"
             )
-    idx = np.array(multi_indices(params))[rows]
-    # per-axis power tables z_a^k, k = 0..D
-    powers = []
+    inverse = 1.0 / np.sqrt(np.arange(1, D + 1) * params.t)[:, None]
+    idx = np.array(multi_indices(params)) if params.n > 1 else None
     for a in range(params.n):
-        tab = np.empty((params.D + 1, P), dtype=complex)
+        tab = np.empty((D + 1, P), dtype=complex)
         tab[0] = 1.0
-        for k in range(1, params.D + 1):
-            tab[k] = tab[k - 1] * points[:, a]
-        powers.append(tab)
-    # log sqrt(alpha! t^{|alpha|}), the lgamma terms added axis by axis
-    lgamma = np.array([math.lgamma(k + 1) for k in range(params.D + 1)])
-    log_norm = lgamma[idx[:, 0]]
-    # at n = 1 the table is the basis in graded order, so all rows in order are the table itself
-    whole = params.n == 1 and np.array_equal(rows, np.arange(params.dim))
-    E = powers[0] if whole else powers[0][idx[:, 0]]
-    for a in range(1, params.n):
-        E *= powers[a][idx[:, a]]
-        log_norm = log_norm + lgamma[idx[:, a]]
-    E *= np.exp(-0.5 * (log_norm + idx.sum(axis=1) * math.log(params.t)))[:, None]
+        np.multiply(points[:, a], inverse, out=tab[1:])  # the steps z_a / sqrt(k t)
+        for k in range(1, D + 1):
+            tab[k] *= tab[k - 1]
+        if a == 0:
+            E = tab if params.n == 1 else tab[idx[:, 0]]
+        else:
+            E *= tab[idx[:, a]]
     return E
 
 

@@ -14,12 +14,14 @@ and each matrix cost a dim x Q^{2n} basis evaluation at shifted nodes.
 They come instead from the closed Laguerre form of the matrix elements
 (Cahill & Glauber, Phys. Rev. 177, 1857 (1969)), evaluated by a
 rescaled three-term recurrence in degree for many points at once.  It
-agrees with a 30-digit mpmath evaluation to 3e-14 for D <= 60 and
-|z| <= 14, and to 1e-13 (each entry to 1e-12 relative) at |z| = 13 and 17
-for D = 24 and 40, which covers the exact convolution rules: their nodes
-reach |z| = 9.2 at D = 24 and 12.1 at D = 40.  The alternating binomial
-series for the same elements is unstable (error 9e-3 at D = 40, |z| = 4,
-and 17 at |z| = 6) and is not used.
+agrees with a 30-digit mpmath evaluation to 5e-14 for D <= 60 and
+|z| <= 14 (worst at small |z| and high degree, where the recurrence
+cancels: 4.4e-14 at D = 60, |z| = 0.05), and to 1e-13 (each entry to
+1e-12 relative) at |z| = 13 and 17 for D = 24 and 40, which covers the
+exact convolution rules: their nodes reach |z| = 9.2 at D = 24 and 12.1
+at D = 40.  The alternating binomial series for the same elements is
+unstable (error 9e-3 at D = 40, |z| = 4, and 17 at |z| = 6) and is not
+used.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ import numpy as np
 from .model import (
     FockOperator,
     FockParams,
-    _basis_rows,
     _check_finite,
     _grid_basis,
     _pair_pick,
@@ -49,11 +50,12 @@ from .symbols import Gaussian, GridSymbol, Scale, Symbol, Translate
 # row's weighted plane (dim x Q^2) in the last plane of a Toeplitz
 # quadrature, one point's basis column in a Berezin transform, one
 # point's Q^{2n} shifted copies in a heat transform, and in a translated
-# Berezin sum one point's basis columns at all J translates (outer loop)
-# or one translate's basis column (inner loop).  A block and its few
-# temporaries set the peak memory of a convolution; 1 MiB (about 100
-# matrices at D = 24) measured both lower peak memory and shorter runs
-# than 4 MiB, and the products stay large enough for BLAS.
+# Berezin sum one point's basis columns at all J translates and its
+# d x d Gram matrix (outer loop) or one translate's basis column (inner
+# loop).  A block and its few temporaries set the peak memory of a
+# convolution; 1 MiB (about 100 matrices at D = 24) measured both lower
+# peak memory and shorter runs than 4 MiB, and the products stay large
+# enough for BLAS.
 _CHUNK_BYTES = 2**20
 
 
@@ -369,13 +371,15 @@ def toeplitz(params: FockParams, f) -> FockOperator:
 def _squared_norms(E: np.ndarray) -> np.ndarray:
     """Squared column norms of the complex (dim, P) array E: the one overflow rule.
 
-    A column whose squared norm is not finite is first divided, in place,
-    by its largest modulus, which cancels in a renormalised Berezin value.
+    A column whose squared norm passes 2^512 (or overflows) is first
+    divided, in place, by its largest modulus, which cancels in a
+    renormalised Berezin value.  The threshold leaves room for the
+    operator: <E, A E> stays finite whenever ||A|| dim < 2^512.
     """
     Er = E.view(float)
     with np.errstate(over="ignore"):
         norms = np.einsum("ap,ap->p", Er, Er).reshape(-1, 2).sum(axis=1)
-    far = ~np.isfinite(norms)
+    far = norms > 2.0**512
     if far.any():
         E[:, far] /= np.max(np.abs(E[:, far]), axis=0)
         norms[far] = np.sum(np.abs(E[:, far]) ** 2, axis=0)
@@ -391,9 +395,9 @@ def berezin_values(A: FockOperator, points: np.ndarray) -> np.ndarray:
     of the identity is exactly 1 everywhere; inside the trusted window
     this agrees with the raw coefficient contraction up to the (tiny)
     truncation defect.  The Gaussian factor of k_z cancels and is left
-    out, and _squared_norms scales a column whose square would overflow,
-    so values stay finite while |z|^D does; past that, at |z| = 1.37e5 for
-    D = 60, _basis_rows raises ValueError.
+    out, and _squared_norms scales a column whose squared norm passes
+    2^512, so values stay finite while the basis values do; past that,
+    at |z| = 6.611e5 for D = 60, t = 1, basis_matrix raises ValueError.
     Points go a block at a time, 16 dim bytes each within _CHUNK_BYTES
     (1598 points at dim = 41), so memory is O(dim x block) whatever P is,
     and values round like one-point evaluations to 1e-15 of max |value|.
@@ -429,7 +433,8 @@ class BerezinTranslateSum(Symbol):
     the entrywise product, with the d x d matrix
     H_r = sum_j (c_j / |E(r - z_j)|^2) E(r - z_j) E(r - z_j)^H,
     one product over the J translates for each point r.  As in
-    berezin_values, _squared_norms scales E(w) where |E(w)|^2 overflows.
+    berezin_values, E(w) is basis_matrix at w, and _squared_norms scales
+    E(w) where |E(w)|^2 passes 2^512.
 
     E_a(i^m w) = i^{m|a|} E_a(w) and E_a(conj w) = conj(E_a(w)) exactly.
     When the nodes are distinct, closed under z -> i z and z -> conj z, and
@@ -443,9 +448,11 @@ class BerezinTranslateSum(Symbol):
     by swapping and negating parts, which is exact, and H is built once
     per distinct r.  Otherwise every distinct point is its own r and only
     <A, H_r> is taken.  A point's value does not depend on the other
-    points evaluated with it.  The (point, translate) pairs are taken a
-    block at a time, and with no nodes g = 0.  Non-finite nodes or
-    coefficients, or unequal counts of them, raise ValueError.
+    points evaluated with it.  The points are taken a block at a time,
+    16 d (J + d) bytes each within _CHUNK_BYTES (its J basis columns and
+    its d x d H_r), and within a block the (point, translate) pairs a
+    block of translates at a time; with no nodes g = 0.  Non-finite
+    nodes or coefficients, or unequal counts of them, raise ValueError.
 
     Against the sum of its `parts`, the explicit expansion, it agrees to
     2.0e-12 / 1.1e-12 / 4.4e-13 of max |g| on the D = 24 grid at N = 8 for
@@ -519,13 +526,13 @@ class BerezinTranslateSum(Symbol):
         d, n = params.dim, params.n
         J = self.nodes.shape[0]
         g = np.empty((X.shape[0], F.shape[1]), dtype=complex)
-        for r in _blocks(X.shape[0], 16 * d * J):
+        for r in _blocks(X.shape[0], 16 * d * (J + d)):
             xs = X[r]
             H = np.zeros((xs.shape[0], d, d), dtype=complex)
             for j in _blocks(J, 16 * d):
                 zs = self.nodes[j]
                 pairs = (xs[:, None, :] - zs[None, :, :]).reshape(-1, n)
-                E = _basis_rows(params, pairs, np.arange(d))  # (d, pairs), point-major pairs
+                E = basis_matrix(params, pairs)  # (d, pairs), point-major pairs
                 norms = _squared_norms(E).reshape(xs.shape[0], -1)
                 E = E.reshape(d, xs.shape[0], -1).transpose(1, 0, 2)  # (point, a, node)
                 w = self.coefficients[j] / norms

@@ -297,14 +297,18 @@ def _symbol_deviation(sym, pts):
 
 
 def _count_gram_points(monkeypatch):
-    """A counter of the (point, translate) pairs whose basis rows the symbol evaluates."""
-    count, basis_rows = [0], operators._basis_rows
+    """A counter of the points at which operators.basis_matrix is evaluated.
 
-    def counting(params, points, rows):
+    The parts reach the same function through berezin_values, so a test
+    that also evaluates them reads the count before it does.
+    """
+    count, basis = [0], operators.basis_matrix
+
+    def counting(params, points):
         count[0] += points.shape[0]
-        return basis_rows(params, points, rows)
+        return basis(params, points)
 
-    monkeypatch.setattr(operators, "_basis_rows", counting)
+    monkeypatch.setattr(operators, "basis_matrix", counting)
     return count
 
 
@@ -440,9 +444,10 @@ def test_symbol_folds_with_conjugated_nodes(monkeypatch):
     assert np.any(np.signbit(nodes.imag) & (nodes.imag == 0))
     sym = BerezinTranslateSum(_random_operator(P24, 14), nodes, fit.coefficients)
     count = _count_gram_points(monkeypatch)
-    deviation = _symbol_deviation(sym, P24.grid().nodes)
+    g = sym.eval(P24.grid().nodes)
     assert count[0] == 91 * fit.nodes.shape[0]
-    assert deviation <= 1e-13
+    ref = SymbolSum(sym.parts).eval(P24.grid().nodes)
+    assert np.max(np.abs(g - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 @pytest.mark.filterwarnings("ignore:.*trusted")
@@ -460,9 +465,10 @@ def test_symbol_without_the_symmetry_takes_the_unfolded_path(monkeypatch, case):
         coefficients = np.full(4, 0.25)
     sym = BerezinTranslateSum(_random_operator(P24, 15), nodes, coefficients)
     count = _count_gram_points(monkeypatch)
-    deviation = _symbol_deviation(sym, P24.grid().nodes)
+    g = sym.eval(P24.grid().nodes)
     assert count[0] == P24.grid().nodes.shape[0] * nodes.shape[0]
-    assert deviation <= 1e-13
+    ref = SymbolSum(sym.parts).eval(P24.grid().nodes)
+    assert np.max(np.abs(g - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 @pytest.mark.filterwarnings("ignore:.*trusted")
@@ -474,6 +480,25 @@ def test_symbol_splits_the_nodes_of_a_large_fit(monkeypatch):
     sym = build_symbol_from_berezin(_random_operator(P24, 9), fit_heat_kernel(P24, 2))
     pts = np.array([0.3 + 0.2j, -0.2 + 0.3j, -0.3 - 0.2j, 0.2 - 0.3j, 1.1, 0.0])[:, None]
     assert _symbol_deviation(sym, pts) <= 1e-13
+
+
+def test_symbol_memory_counts_the_gram_matrices():
+    # an N = 1 fit (one node) at D = 40 on 4000 points: blocks sized by the
+    # basis columns alone held a 41 x 41 Gram matrix for each of 1598 points
+    # and peaked at 90.4 MB of traced memory; counting them too, 3.4 MB
+    params = FockParams(1, 1.0, 40, 42)
+    A = toeplitz(params, Gaussian(width=4.0))
+    sym = build_symbol_from_berezin(A, fit_heat_kernel(params, 1))
+    rng = np.random.default_rng(8)
+    pts = (rng.standard_normal(4000) + 1j * rng.standard_normal(4000))[:, None]
+    sym.eval(pts[:2])  # warm the model's caches
+    tracemalloc.start()
+    try:
+        sym.eval(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6, peak
 
 
 def test_symbol_with_no_nodes_is_zero():

@@ -163,6 +163,19 @@ def test_weyl_matches_mpmath_where_exact_rules_reach():
             assert np.max(diff[normal] / np.abs(want[normal])) < 1e-12, (D, r)
 
 
+@pytest.mark.parametrize("D", [40, 60])
+def test_weyl_matches_mpmath_near_the_origin(D):
+    # the float64 recurrence cancels at small |z|, where the polar rules'
+    # innermost radii lie (about 0.12 at D = 24); measured at |z| = 0.05 /
+    # 0.1 / 0.3 / 1: 1.3e-14 / 4.9e-15 / 1.5e-14 / 1.7e-15 at D = 40 and
+    # 4.4e-14 / 2.8e-14 / 2.8e-14 / 3.1e-15 at D = 60
+    p = FockParams(1, 1.0, D, D + 2)
+    for r in (0.05, 0.1, 0.3, 1.0):
+        z = r * np.exp(0.7j)
+        err = np.max(np.abs(weyl(p, z).matrix - weyl_by_mpmath(z, p.t, D)))
+        assert err <= 5e-14, (D, r, err)
+
+
 def test_weyl_matches_quadrature_n2():
     # n = 2 needs Q^4 nodes, so the oracle runs at Q = 24 (error 7e-16 here)
     p = FockParams(2, 1.0, 6, 8)
@@ -607,43 +620,81 @@ def test_berezin_values_far_from_the_origin(r):
 def _translate_sum_at_shifted_points(A, pts):
     # g = A~(. - z0) with one node z0, so g(x + z0) = A~(x)
     z0 = 0.5 - 0.2j
-    return BerezinTranslateSum(A, [z0], [1.0]).eval(pts + z0)
+    return BerezinTranslateSum(A, np.full((1, A.params.n), z0), [1.0]).eval(pts + z0)
+
+
+def _gaussian_berezin_by_mpmath(p, r):
+    """T of e^{-|z|^2/2}, diagonal (2/3)^(|alpha|+n) at t = 1, Berezin-transformed at |z| = r.
+
+    The squares |e_alpha(z)|^2 of one total degree k add up to x^k / k!,
+    x = r^2 / t, so the value is an average over k; taken in mpmath.
+    """
+    import mpmath as mp
+
+    with mp.workdps(40):
+        x = mp.mpf(r) ** 2 / p.t
+        terms = [x**k / mp.factorial(k) for k in range(p.D + 1)]
+        q = mp.mpf(2) / 3
+        return float(mp.fsum(q ** (k + p.n) * e for k, e in enumerate(terms)) / mp.fsum(terms))
 
 
 @pytest.mark.parametrize("evaluate", [berezin_values, _translate_sum_at_shifted_points])
 @pytest.mark.parametrize("r", [1500.0, 2000.0])
 def test_berezin_values_do_not_overflow_far_out(r, evaluate):
     # at D = 60 the unscaled basis reaches r^60 / sqrt(60!), whose square
-    # overflows at r = 2000, so only there is a column scaled.  T of
-    # e^{-|z|^2/2} is diagonal with entries (2/3)^(k+1), so the value is
-    # their average against x^k / k!, x = r^2 / t, which tends to
-    # (2/3)^61 = 1.8e-11
-    import mpmath as mp
-
+    # passes 2^512 at both radii and overflows at r = 2000, so the columns
+    # are scaled.  T of e^{-|z|^2/2} is diagonal with entries (2/3)^(k+1),
+    # so the value is their average against x^k / k!, x = r^2 / t, which
+    # tends to (2/3)^61 = 1.8e-11
     p = FockParams(1, 1.0, 60, 62)
     A = toeplitz(p, Gaussian(width=2.0))
     pts = r * np.exp(1j * np.array([0.0, 0.7, 2.0]))[:, None]
     got = evaluate(A, pts)
-    with mp.workdps(30):
-        x = mp.mpf(r) ** 2 / p.t
-        terms = [x**k / mp.factorial(k) for k in range(p.D + 1)]
-        q = mp.mpf(2) / 3
-        want = float(mp.fsum(q ** (k + 1) * e for k, e in enumerate(terms)) / mp.fsum(terms))
+    want = _gaussian_berezin_by_mpmath(p, r)
     # measured <= 3.4e-15 on both paths
     assert np.max(np.abs(got - want)) <= 1e-13 * want
 
 
 @pytest.mark.parametrize("evaluate", [berezin_values, _translate_sum_at_shifted_points])
-def test_berezin_values_past_the_power_limit_raise(evaluate):
-    # the basis powers z^60 pass the float maximum at |z| = 1.37e5; there
-    # the value would be NaN with an overflow warning, so it raises instead
-    p = FockParams(1, 1.0, 60, 62)
-    A = toeplitz(p, Gaussian(width=2.0))
+@pytest.mark.parametrize(
+    "p, inside, past, message",
+    [
+        (FockParams(1, 1.0, 60, 62), 6.60e5, 6.62e5, r"6\.62e\+05 is past 6\.611e\+05"),
+        (FockParams(2, 1.0, 14, 16), 2.56e22, 2.57e22, r"2\.57e\+22 is past 2\.564e\+22"),
+    ],
+    ids=["n1-D60", "n2-D14"],
+)
+def test_berezin_values_past_the_power_limit_raise(evaluate, p, inside, past, message):
+    # the normalised basis value e_D(|z|) passes the float maximum at
+    # |z| = (float_max sqrt(D!))^(1/D) sqrt(t): 6.611e5 at D = 60 and
+    # 2.564e22 at D = 14.  By the multinomial theorem no e_alpha(z) is
+    # larger, so up to there every value is finite and right (measured
+    # 3.4e-15 and 7.1e-16 relative; the raw powers z^60 capped n = 1 at
+    # 1.37e5), and past it the Euclidean |z| raises instead.  At n = 2 the point
+    # (r, r) / sqrt(2) keeps each coordinate below the limit, so a check on
+    # the largest coordinate would not raise
+    A = toeplitz(p, Gaussian(width=2.0, n=p.n))
+    direction = np.full((1, p.n), 1.0 / np.sqrt(p.n))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert np.all(np.isfinite(evaluate(A, np.array([[1.35e5]]))))
-        with pytest.raises(ValueError, match=r"\|z\| = 1\.4e\+05 is past 1\.373e\+05"):
-            evaluate(A, np.array([[1.4e5]]))
+        got = evaluate(A, inside * direction)
+        want = _gaussian_berezin_by_mpmath(p, inside)
+        assert np.all(np.abs(got - want) <= 1e-13 * want), (got, want)
+        with pytest.raises(ValueError, match=r"\|z\| = " + message):
+            evaluate(A, past * direction)
+
+
+def test_berezin_values_of_a_large_operator_stay_finite_far_out():
+    # <E, A E> overflowed before |E|^2 did when ||A|| > 1: A = 10 I read
+    # inf + nan j from |z| = 1759 on, until columns were scaled from 2^512;
+    # measured 3.6e-16 relative
+    p = FockParams(1, 1.0, 60, 62)
+    A = FockOperator(p, 10.0 * np.eye(p.dim))
+    pts = np.array([1760.0, 5e4 * np.exp(0.3j), 6.6e5 * np.exp(2.0j)])[:, None]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = berezin_values(A, pts)
+    assert np.max(np.abs(got - 10.0)) <= 1e-14 * 10.0, got
 
 
 def _random_matrix_operator(params, seed):

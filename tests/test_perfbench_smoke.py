@@ -38,6 +38,11 @@ CALLED = {"identities": ["convolution.conv_fun_op.calls"]}
 # basis, or the basis counters would silently miss the probes
 BEREZIN_PROBES = {"semiclassical", "two_variables"}
 
+# the translated Berezin sums evaluate their (point, translate) pairs
+# through model.basis_matrix: 343,600 points in the small theorem_a pass,
+# where the plane basis alone gave 400
+BASIS_POINTS = {"theorem_a": 100_000}
+
 
 @pytest.mark.parametrize("workload", sorted(SPANS))
 def test_small_traced_pass(workload):
@@ -56,6 +61,8 @@ def test_small_traced_pass(workload):
     if workload in BEREZIN_PROBES:
         assert metrics["operators.berezin_values.calls"]["value"] > 0
         assert metrics["model.basis_matrix.calls"]["value"] >= 2
+    if workload in BASIS_POINTS:
+        assert metrics["model.basis_matrix.points"]["value"] > BASIS_POINTS[workload]
 
 
 def test_tracer_finds_the_convolution_order():
