@@ -21,9 +21,12 @@ Two steps realize the constructive scheme:
    not one Berezin pass per translate: for each point r one Gram matrix
    H_r of the translated basis rows, weighted by c_j over their squared
    norms (rows scaled first where those overflow), gives
-   g_N(r) = <A, H_r>.  Every fit lattice is closed under z -> i z and
-   conjugation with coefficients equal on each orbit, so one H_r gives
-   g_N at all eight points of the orbit of r (the docstring of
+   g_N(r) = <A, H_r>.  A diagonal A (T of e^{-|z|^2/2} and P_C among
+   the Theorem A targets) needs only the diagonal of H_r, the weighted
+   squared moduli of the translated rows, and no Gram product.  Every
+   fit lattice is closed under z -> i z and conjugation with
+   coefficients equal on each orbit, so one H_r gives g_N at all eight
+   points of the orbit of r (the docstring of
    operators.BerezinTranslateSum explains how).  It agrees with the
    explicit sum of translates (the symbol's `parts`) to 2.0e-12 of
    max |g_N|.  Alongside runs the baseline curve ||A - f_{t/N} * A||_op,

@@ -118,12 +118,14 @@ def _point_rows(params: FockParams, points) -> np.ndarray:
 
     Any other shape raises ValueError: a flat array of P points at n = 1,
     or rows of the wrong length, would otherwise be read as other points.
+    So does an inf or NaN coordinate, which has no basis values.
     """
     points = np.asarray(points, dtype=complex)
     if points.shape == (params.n,):
         points = points[None, :]
     if points.ndim != 2 or points.shape[1] != params.n:
         raise ValueError(f"points must have shape (P, {params.n}), got {points.shape}")
+    _check_finite(points)
     return points
 
 

@@ -52,10 +52,12 @@ from .symbols import Gaussian, GridSymbol, Scale, Symbol, Translate
 # point's Q^{2n} shifted copies in a heat transform, and in a translated
 # Berezin sum one point's basis columns at all J translates and its
 # d x d Gram matrix (outer loop) or one translate's basis column (inner
-# loop).  A block and its few temporaries set the peak memory of a
-# convolution; 1 MiB (about 100 matrices at D = 24) measured both lower
-# peak memory and shorter runs than 4 MiB, and the products stay large
-# enough for BLAS.
+# loop).  For an operand with no nonzero entry off its diagonal, a
+# Berezin row holds each basis value's real squared modulus beside it
+# (24 bytes a value) and no Gram matrix.  A block and its few
+# temporaries set the peak memory of a convolution; 1 MiB (about 100
+# matrices at D = 24) measured both lower peak memory and shorter runs
+# than 4 MiB, and the products stay large enough for BLAS.
 _CHUNK_BYTES = 2**20
 
 
@@ -386,29 +388,55 @@ def _squared_norms(E: np.ndarray) -> np.ndarray:
     return norms
 
 
+def _diagonal(M: np.ndarray):
+    """The diagonal of the square matrix M if no entry off it is nonzero, else None."""
+    diagonal = np.diagonal(M)
+    return diagonal if np.count_nonzero(M) == np.count_nonzero(diagonal) else None
+
+
+def _squared_moduli(E: np.ndarray) -> np.ndarray:
+    """|E|^2 entry by entry, as a real array of the shape of the complex E."""
+    S = np.square(E.real)
+    S += np.square(E.imag)
+    return S
+
+
 def berezin_values(A: FockOperator, points: np.ndarray) -> np.ndarray:
     """Berezin transform values A~(z) = <A k_z, k_z> at the given points.
 
     points has shape (P, n); one point of shape (n,) is also accepted.
     The truncated coherent states are renormalized to unit norm, so the
     contraction |A~| <= ||A||_op holds at every point and the transform
-    of the identity is exactly 1 everywhere; inside the trusted window
+    of the identity is 1 everywhere to rounding; inside the trusted window
     this agrees with the raw coefficient contraction up to the (tiny)
     truncation defect.  The Gaussian factor of k_z cancels and is left
     out, and _squared_norms scales a column whose squared norm passes
     2^512, so values stay finite while the basis values do; past that,
     at |z| = 6.611e5 for D = 60, t = 1, basis_matrix raises ValueError.
-    Points go a block at a time, 16 dim bytes each within _CHUNK_BYTES
-    (1598 points at dim = 41), so memory is O(dim x block) whatever P is,
-    and values round like one-point evaluations to 1e-15 of max |value|.
+
+    With E the basis columns, the value is <E, A E> / |E|^2.  An A with
+    no nonzero entry off its diagonal (T of a radial symbol, P_C, the
+    identity) gives the mean diag(A) . |E|^2 / |E|^2 of its diagonal
+    instead, from the squared moduli of the scaled columns: no dim x dim
+    product.  Points go a block at a time within _CHUNK_BYTES, 16 dim
+    bytes each, or 24 dim with the squared moduli (1598 or 1065 points at
+    dim = 41), so memory is O(dim x block) whatever P is, and values round
+    like one-point evaluations to 1e-15 of max |value|.  A non-finite
+    point or entry of A raises ValueError.
     """
     params = A.params
     points = _point_rows(params, points)
+    _check_finite(A.matrix)
+    diagonal = _diagonal(A.matrix)
     out = np.empty(points.shape[0], dtype=complex)
-    for rows in _blocks(points.shape[0], 16 * params.dim):
+    for rows in _blocks(points.shape[0], (16 if diagonal is None else 24) * params.dim):
         E = basis_matrix(params, points[rows])  # k_{z_i} without its Gaussian factor
         norms = _squared_norms(E)
-        out[rows] = np.sum(E * (A.matrix @ np.conj(E)), axis=0) / norms
+        if diagonal is None:
+            out[rows] = np.sum(E * (A.matrix @ np.conj(E)), axis=0) / norms
+        else:
+            S = _squared_moduli(E)
+            out[rows] = (diagonal.real @ S + 1j * (diagonal.imag @ S)) / norms
     return out
 
 
@@ -434,7 +462,10 @@ class BerezinTranslateSum(Symbol):
     H_r = sum_j (c_j / |E(r - z_j)|^2) E(r - z_j) E(r - z_j)^H,
     one product over the J translates for each point r.  As in
     berezin_values, E(w) is basis_matrix at w, and _squared_norms scales
-    E(w) where |E(w)|^2 passes 2^512.
+    E(w) where |E(w)|^2 passes 2^512.  If A has no nonzero entry off its
+    diagonal, only the diagonal of H_r is needed:
+    g(r) = sum_j c_j (diag(A) . |E(r - z_j)|^2) / |E(r - z_j)|^2, from
+    the squared moduli of the scaled columns, with no Gram product.
 
     E_a(i^m w) = i^{m|a|} E_a(w) and E_a(conj w) = conj(E_a(w)) exactly.
     When the nodes are distinct, closed under z -> i z and z -> conj z, and
@@ -443,21 +474,25 @@ class BerezinTranslateSum(Symbol):
     be re-indexed by the image nodes, so
     g(i^m r) = <A o Phi_m, H_r> with Phi_m[a, b] = i^{m(|a| - |b|)}, and
     g(i^m conj r) = <(A o Phi_m)^T, H_r>: one H_r gives the eight values of
-    the orbit of r.  Each point x is folded into the octant
-    0 <= Im <= Re of its first coordinate (x = i^m r or x = i^m conj r)
-    by swapping and negating parts, which is exact, and H is built once
+    the orbit of r (for a diagonal A all eight are g(r), since A o Phi_m
+    and its transpose keep the diagonal).  Each point x is folded into
+    the octant 0 <= Im <= Re of its first coordinate (x = i^m r or
+    x = i^m conj r) by swapping and negating parts, which is exact, and H is built once
     per distinct r.  Otherwise every distinct point is its own r and only
     <A, H_r> is taken.  A point's value does not depend on the other
     points evaluated with it.  The points are taken a block at a time,
     16 d (J + d) bytes each within _CHUNK_BYTES (its J basis columns and
-    its d x d H_r), and within a block the (point, translate) pairs a
+    its d x d H_r), or 24 d J for a diagonal A (the columns and their
+    squared moduli), and within a block the (point, translate) pairs a
     block of translates at a time; with no nodes g = 0.  Non-finite
-    nodes or coefficients, or unequal counts of them, raise ValueError.
+    entries of A, nodes or coefficients, or unequal counts of nodes and
+    coefficients, raise ValueError.
 
     Against the sum of its `parts`, the explicit expansion, it agrees to
-    2.0e-12 / 1.1e-12 / 4.4e-13 of max |g| on the D = 24 grid at N = 8 for
-    the three Theorem A targets (T of e^{-|z|^2/2}, W_0.5, P_C), and to
-    3.6e-14 for a random A.  For scale, eps sum_j |c_j| = 1.4e-11 there
+    9.8e-13 / 8.4e-13 / 2.1e-13 of max |g| on the D = 24 grid at N = 8 for
+    the three Theorem A targets (T of e^{-|z|^2/2}, W_0.5, P_C; one BLAS
+    thread; the first and last are diagonal), and to 3.6e-14 for a random
+    A.  For scale, eps sum_j |c_j| = 1.4e-11 there
     (eps = 2.2e-16): the translates cancel, and either order of the sums
     rounds on that scale.
     """
@@ -471,6 +506,7 @@ class BerezinTranslateSum(Symbol):
             raise ValueError(
                 f"{self.coefficients.size} coefficients for {self.nodes.shape[0]} nodes"
             )
+        _check_finite(A.matrix)
         _check_finite(self.nodes)
         _check_finite(self.coefficients)
 
@@ -501,8 +537,10 @@ class BerezinTranslateSum(Symbol):
         if self.nodes.shape[0] == 0:
             return np.zeros(points.shape[0], dtype=complex)
         A = self.A.matrix
-        if not self._symmetric():
-            R, col, F = points, 0, A.reshape(-1, 1)
+        diagonal = _diagonal(A)
+        symmetric = self._symmetric()
+        if not symmetric:
+            R, col = points, 0
         else:
             # m is the quadrant of the first coordinate: x = i^m y, y[0] in Re > 0, Im >= 0
             a, b = points[:, 0].real, points[:, 0].imag
@@ -513,33 +551,50 @@ class BerezinTranslateSum(Symbol):
             flip = R[:, 0].imag > R[:, 0].real
             R[flip] = 1j * np.conj(R[flip])
             col = np.where(flip, 4 + (m + 1) % 4, m)
+        if diagonal is not None:
+            # A o Phi_m and its transpose keep the diagonal: the eight values agree
+            F, col = diagonal[:, None], 0
+        elif symmetric:
             deg = np.array(multi_indices(params)).sum(axis=1)
             k = np.arange(4)[:, None, None] * (deg[:, None] - deg)
             turned = A * np.array([1, 1j, -1, -1j])[k % 4]  # A o Phi_m, m = 0..3, exactly
             F = np.concatenate([turned, turned.transpose(0, 2, 1)]).reshape(8, -1).T
+        else:
+            F = A.reshape(-1, 1)
         _, first, inverse = np.unique(R, axis=0, return_index=True, return_inverse=True)
-        return self._orbit_values(R[first], F)[inverse.reshape(-1), col]
+        return self._orbit_values(R[first], F, diagonal is not None)[inverse.reshape(-1), col]
 
-    def _orbit_values(self, X: np.ndarray, F: np.ndarray) -> np.ndarray:
-        """<F[:, k], H_x> at every row x of X and every column k of F: shape (R, F.shape[1])."""
+    def _orbit_values(self, X: np.ndarray, F: np.ndarray, diagonal: bool) -> np.ndarray:
+        """<F[:, k], H_x> at every row x of X and every column k of F: shape (R, F.shape[1]).
+
+        If diagonal, F holds diagonals, and only the diagonal of H_x,
+        sum_j w_j |E(x - z_j)|^2, is formed.
+        """
         params = self.A.params
         d, n = params.dim, params.n
         J = self.nodes.shape[0]
+        # one translate's basis column, with its squared moduli if diagonal
+        column = (24 if diagonal else 16) * d
         g = np.empty((X.shape[0], F.shape[1]), dtype=complex)
-        for r in _blocks(X.shape[0], 16 * d * (J + d)):
+        for r in _blocks(X.shape[0], column * J + (0 if diagonal else 16 * d * d)):
             xs = X[r]
-            H = np.zeros((xs.shape[0], d, d), dtype=complex)
-            for j in _blocks(J, 16 * d):
+            p = xs.shape[0]
+            H = np.zeros((p, F.shape[0]), dtype=complex)  # H_x, or its diagonal, flat
+            for j in _blocks(J, column):
                 zs = self.nodes[j]
                 pairs = (xs[:, None, :] - zs[None, :, :]).reshape(-1, n)
                 E = basis_matrix(params, pairs)  # (d, pairs), point-major pairs
-                norms = _squared_norms(E).reshape(xs.shape[0], -1)
-                E = E.reshape(d, xs.shape[0], -1).transpose(1, 0, 2)  # (point, a, node)
-                w = self.coefficients[j] / norms
-                H += (E * w[:, None, :]) @ np.conj(E).transpose(0, 2, 1)
-            # one vector-matrix product per point, so that its value does not
-            # depend on the block; a block-wide product rounds by block shape
-            g[r] = (H.reshape(xs.shape[0], 1, d * d) @ F)[:, 0]
+                w = self.coefficients[j] / _squared_norms(E).reshape(p, -1)
+                if diagonal:
+                    S = _squared_moduli(E).reshape(d, p, -1).transpose(1, 0, 2)
+                    H += (S @ w[:, :, None])[:, :, 0]
+                else:
+                    E = E.reshape(d, p, -1).transpose(1, 0, 2)  # (point, a, node)
+                    H += ((E * w[:, None, :]) @ np.conj(E).transpose(0, 2, 1)).reshape(p, -1)
+            # one product per point, here and in the diagonal sum over nodes,
+            # so that its value does not depend on the block; a block-wide
+            # product rounds by block shape
+            g[r] = (H[:, None, :] @ F)[:, 0]
         return g
 
 

@@ -380,23 +380,30 @@ def test_symbol_without_orbit_constant_coefficients(monkeypatch):
     assert np.max(np.abs(g - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+def _theorem_a_target(kind):
+    """W_0.5 (dense), or T of e^{-|z|^2/2} (diagonal: no Gram matrices are formed)."""
+    return weyl(P24, 0.5) if kind == "dense" else toeplitz(P24, Gaussian(width=2.0))
+
+
 @pytest.mark.filterwarnings("ignore:.*trusted")
-def test_symbol_builds_one_gram_matrix_per_folded_point(monkeypatch):
+@pytest.mark.parametrize("kind", ["dense", "diagonal"])
+def test_symbol_builds_one_gram_matrix_per_folded_point(monkeypatch, kind):
     # the 676 nodes of the Q = 26 grid fold onto 91 octant representatives
     # (169 if only the rotation were used); each costs one basis evaluation
-    # per translate
+    # per translate, for a Gram matrix or for the squared moduli alone
     fit = fit_heat_kernel(P24, 8)
-    sym = build_symbol_from_berezin(weyl(P24, 0.5), fit)
+    sym = build_symbol_from_berezin(_theorem_a_target(kind), fit)
     count = _count_gram_points(monkeypatch)
     sym.eval(P24.grid().nodes)
     assert count[0] == 91 * fit.nodes.shape[0]
 
 
 @pytest.mark.filterwarnings("ignore:.*trusted")
-def test_symbol_value_does_not_depend_on_the_batch():
+@pytest.mark.parametrize("kind", ["dense", "diagonal"])
+def test_symbol_value_does_not_depend_on_the_batch(kind):
     # a grid node alone and the same node inside the whole grid, bit for
     # bit; the picks include points reflected across the diagonal
-    sym = build_symbol_from_berezin(weyl(P24, 0.5), fit_heat_kernel(P24, 4))
+    sym = build_symbol_from_berezin(_theorem_a_target(kind), fit_heat_kernel(P24, 4))
     nodes = P24.grid().nodes
     g = sym.eval(nodes)
     picks = np.random.default_rng(10).choice(nodes.shape[0], 40, replace=False)
@@ -417,11 +424,14 @@ def test_symbol_matches_parts_on_an_odd_grid():
 
 def test_symbol_matches_parts_in_two_variables():
     # the N = 1 fit at n = 2: phases by total degree, every coordinate
-    # folded with the first; measured 1.2e-15 on the grid and on the shifted grid
+    # folded with the first; measured 1.2e-15 on the grid and on the shifted
+    # grid, and 5.3e-16 for the diagonal of the same A
     params = FockParams(2, 1.0, 6, 8)
-    sym = build_symbol_from_berezin(_random_operator(params, 7), fit_heat_kernel(params, 1))
-    for pts in (params.grid().nodes, params.grid().nodes + 0.3):
-        assert _symbol_deviation(sym, pts) <= 1e-14
+    A = _random_operator(params, 7)
+    for B in (A, FockOperator(params, np.diag(np.diagonal(A.matrix)))):
+        sym = build_symbol_from_berezin(B, fit_heat_kernel(params, 1))
+        for pts in (params.grid().nodes, params.grid().nodes + 0.3):
+            assert _symbol_deviation(sym, pts) <= 1e-14
 
 
 @pytest.mark.filterwarnings("ignore:.*trusted")
@@ -482,12 +492,19 @@ def test_symbol_splits_the_nodes_of_a_large_fit(monkeypatch):
     assert _symbol_deviation(sym, pts) <= 1e-13
 
 
-def test_symbol_memory_counts_the_gram_matrices():
+@pytest.mark.parametrize("kind", ["dense", "diagonal"])
+def test_symbol_memory_counts_the_gram_matrices(kind):
     # an N = 1 fit (one node) at D = 40 on 4000 points: blocks sized by the
     # basis columns alone held a 41 x 41 Gram matrix for each of 1598 points
-    # and peaked at 90.4 MB of traced memory; counting them too, 3.4 MB
+    # and peaked at 90.4 MB of traced memory; counting them too, 3.4 MB.  A
+    # diagonal A forms no Gram matrix, and its blocks count the squared
+    # moduli instead: 3.1 MB.  An entry at [1, 0] makes A dense
     params = FockParams(1, 1.0, 40, 42)
     A = toeplitz(params, Gaussian(width=4.0))
+    if kind == "dense":
+        M = A.matrix.copy()
+        M[1, 0] = 1.0
+        A = FockOperator(params, M)
     sym = build_symbol_from_berezin(A, fit_heat_kernel(params, 1))
     rng = np.random.default_rng(8)
     pts = (rng.standard_normal(4000) + 1j * rng.standard_normal(4000))[:, None]
@@ -567,6 +584,24 @@ def test_symbol_evaluation_memory():
     finally:
         tracemalloc.stop()
     assert peak < 6 * 2**20
+
+
+@pytest.mark.filterwarnings("ignore:.*trusted")
+def test_diagonal_symbol_forms_no_gram_matrices():
+    # T of e^{-|z|^2/2} on the D = 24 grid at N = 8: the squared moduli of
+    # one point's 1117 translated columns take 1.4 MiB of traced memory at
+    # peak.  The Gram path's (point, a, b) stacks, with the weighted
+    # columns and their conjugates, peaked at 2.8 MiB on this operand
+    sym = build_symbol_from_berezin(_theorem_a_target("diagonal"), fit_heat_kernel(P24, 8))
+    pts = P24.grid().nodes
+    sym.eval(pts[:1])  # warm the model's caches
+    tracemalloc.start()
+    try:
+        sym.eval(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak
 
 
 @pytest.mark.filterwarnings("ignore:.*trusted")

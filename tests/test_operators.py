@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from fockqha import operators
+from fockqha.convolution import conv_op_op
 from fockqha.model import (
     FockOperator,
     FockParams,
@@ -593,15 +594,26 @@ def test_berezin_of_pc():
     assert np.max(np.abs(berezin_values(pc_operator(P), pts) - want)) < 1e-12
 
 
+def _off_diagonal(A, a, b, value):
+    """A plus value at [a, b], a != b: no longer diagonal, so the Berezin evaluators contract densely."""
+    M = A.matrix.copy()
+    M[a, b] += value
+    return FockOperator(A.params, M)
+
+
+@pytest.mark.parametrize("off_diagonal", [False, True], ids=["diagonal", "off-diagonal"])
 @pytest.mark.parametrize("r", [30.0, 40.0])
-def test_berezin_values_far_from_the_origin(r):
+def test_berezin_values_far_from_the_origin(r, off_diagonal):
     # the Gaussian factor of k_z, e^{-r^2 / 2t}, underflows the norms there
     # and cancels in the ratio; the oracle sums the unscaled basis in mpmath.
-    # The value tends to the top diagonal entry (2/3)^25 = 4.0e-5
+    # The value tends to the top diagonal entry (2/3)^25 = 4.0e-5; the
+    # entry 1e-5 at [24, 23] moves it by about 1e-5 sqrt(24) / |z|
     import mpmath as mp
 
     p = FockParams(1, 1.0, 24, 26)
     A = toeplitz(p, Gaussian(width=2.0))
+    if off_diagonal:
+        A = _off_diagonal(A, 24, 23, 1e-5)
     pts = r * np.exp(1j * np.array([0.0, 0.7, 2.0]))[:, None]
     got = berezin_values(A, pts)
     with mp.workdps(30):
@@ -638,9 +650,18 @@ def _gaussian_berezin_by_mpmath(p, r):
         return float(mp.fsum(q ** (k + p.n) * e for k, e in enumerate(terms)) / mp.fsum(terms))
 
 
+# An entry A[1, 0] = 1 off the diagonal sends an operand to the dense
+# contraction.  It adds conj(e_1(z)) e_0(z) / |E(z)|^2 <= |z| / e_60(|z|)^2,
+# below 1e-100 relative far out, so the diagonal operand's oracle holds.
+_OFF_DIAGONAL = pytest.mark.parametrize(
+    "off_diagonal", [False, True], ids=["diagonal", "off-diagonal"]
+)
+
+
+@_OFF_DIAGONAL
 @pytest.mark.parametrize("evaluate", [berezin_values, _translate_sum_at_shifted_points])
 @pytest.mark.parametrize("r", [1500.0, 2000.0])
-def test_berezin_values_do_not_overflow_far_out(r, evaluate):
+def test_berezin_values_do_not_overflow_far_out(r, evaluate, off_diagonal):
     # at D = 60 the unscaled basis reaches r^60 / sqrt(60!), whose square
     # passes 2^512 at both radii and overflows at r = 2000, so the columns
     # are scaled.  T of e^{-|z|^2/2} is diagonal with entries (2/3)^(k+1),
@@ -648,6 +669,8 @@ def test_berezin_values_do_not_overflow_far_out(r, evaluate):
     # tends to (2/3)^61 = 1.8e-11
     p = FockParams(1, 1.0, 60, 62)
     A = toeplitz(p, Gaussian(width=2.0))
+    if off_diagonal:
+        A = _off_diagonal(A, 1, 0, 1.0)
     pts = r * np.exp(1j * np.array([0.0, 0.7, 2.0]))[:, None]
     got = evaluate(A, pts)
     want = _gaussian_berezin_by_mpmath(p, r)
@@ -664,7 +687,10 @@ def test_berezin_values_do_not_overflow_far_out(r, evaluate):
     ],
     ids=["n1-D60", "n2-D14"],
 )
-def test_berezin_values_past_the_power_limit_raise(evaluate, p, inside, past, message):
+@_OFF_DIAGONAL
+def test_berezin_values_past_the_power_limit_raise(
+    evaluate, p, inside, past, message, off_diagonal
+):
     # the normalised basis value e_D(|z|) passes the float maximum at
     # |z| = (float_max sqrt(D!))^(1/D) sqrt(t): 6.611e5 at D = 60 and
     # 2.564e22 at D = 14.  By the multinomial theorem no e_alpha(z) is
@@ -674,6 +700,8 @@ def test_berezin_values_past_the_power_limit_raise(evaluate, p, inside, past, me
     # (r, r) / sqrt(2) keeps each coordinate below the limit, so a check on
     # the largest coordinate would not raise
     A = toeplitz(p, Gaussian(width=2.0, n=p.n))
+    if off_diagonal:
+        A = _off_diagonal(A, 1, 0, 1.0)
     direction = np.full((1, p.n), 1.0 / np.sqrt(p.n))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -684,12 +712,15 @@ def test_berezin_values_past_the_power_limit_raise(evaluate, p, inside, past, me
             evaluate(A, past * direction)
 
 
-def test_berezin_values_of_a_large_operator_stay_finite_far_out():
+@_OFF_DIAGONAL
+def test_berezin_values_of_a_large_operator_stay_finite_far_out(off_diagonal):
     # <E, A E> overflowed before |E|^2 did when ||A|| > 1: A = 10 I read
     # inf + nan j from |z| = 1759 on, until columns were scaled from 2^512;
     # measured 3.6e-16 relative
     p = FockParams(1, 1.0, 60, 62)
     A = FockOperator(p, 10.0 * np.eye(p.dim))
+    if off_diagonal:
+        A = _off_diagonal(A, 1, 0, 1.0)
     pts = np.array([1760.0, 5e4 * np.exp(0.3j), 6.6e5 * np.exp(2.0j)])[:, None]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -703,12 +734,16 @@ def _random_matrix_operator(params, seed):
     return FockOperator(params, rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
 
 
+@pytest.mark.parametrize("diagonal", [False, True], ids=["dense", "diagonal"])
 @pytest.mark.parametrize("per_block", [1, 7])
 @pytest.mark.parametrize("params", [FockParams(1, 0.8, 10, 12), FockParams(2, 1.3, 4, 6)])
-def test_berezin_blocks_match_per_point_values(monkeypatch, params, per_block):
-    # 50 points in blocks of one or seven; measured within 6.5e-16 of max |value|
+def test_berezin_blocks_match_per_point_values(monkeypatch, params, per_block, diagonal):
+    # 50 points in blocks of one or seven (one or four for a diagonal A,
+    # whose rows also hold |E|^2); measured within 6.5e-16 of max |value|
     monkeypatch.setattr(operators, "_CHUNK_BYTES", 16 * params.dim * per_block)
     A = _random_matrix_operator(params, 5)
+    if diagonal:
+        A = FockOperator(params, np.diag(np.diagonal(A.matrix)))
     rng = np.random.default_rng(6)
     pts = rng.standard_normal((50, params.n)) + 1j * rng.standard_normal((50, params.n))
     want = []
@@ -721,11 +756,15 @@ def test_berezin_blocks_match_per_point_values(monkeypatch, params, per_block):
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
-def test_berezin_values_memory_is_one_block():
+@_OFF_DIAGONAL
+def test_berezin_values_memory_is_one_block(off_diagonal):
     # 4000 points at D = 40: the whole-array evaluation peaked at 10.5 MB of
-    # traced memory, blocks of 1598 points (one _CHUNK_BYTES each) at 3.4 MB
+    # traced memory, blocks of 1598 points (one _CHUNK_BYTES each) at 3.4 MB;
+    # blocks of 1065 points with their |E|^2 (diagonal A) at 1.7 MB
     p = FockParams(1, 1.0, 40, 42)
     A = toeplitz(p, Gaussian(width=4.0))
+    if off_diagonal:
+        A = _off_diagonal(A, 1, 0, 1.0)
     rng = np.random.default_rng(8)
     pts = (rng.standard_normal(4000) + 1j * rng.standard_normal(4000))[:, None]
     tracemalloc.start()
@@ -735,6 +774,83 @@ def test_berezin_values_memory_is_one_block():
     finally:
         tracemalloc.stop()
     assert peak < 4 * _CHUNK_BYTES, peak
+
+
+@pytest.mark.parametrize("evaluate", [berezin_values, _translate_sum_at_shifted_points])
+@pytest.mark.parametrize(
+    "p",
+    [FockParams(1, 1.0, 24, 26), FockParams(1, 1.0, 40, 42), FockParams(1, 1.0, 60, 62),
+     FockParams(2, 1.0, 14, 16)],
+    ids=["n1-D24", "n1-D40", "n1-D60", "n2-D14"],
+)
+def test_diagonal_berezin_values_match_mpmath(p, evaluate):
+    # T of e^{-|z|^2/2} is diagonal, so both evaluators take the mean of its
+    # diagonal against |e_alpha(z)|^2; from the origin to far past the
+    # trusted window, measured <= 3.6e-15 relative (D = 60)
+    A = toeplitz(p, Gaussian(width=2.0, n=p.n))
+    direction = np.full(p.n, 1.0 / np.sqrt(p.n))
+    turns = np.exp(1j * np.array([0.0, 0.7, 2.0, 4.0]))[:, None]
+    for r in [0.0, 0.3, 1.0, 3.0, 7.0, 15.0, 40.0, 300.0]:
+        got = evaluate(A, r * turns * direction)
+        want = _gaussian_berezin_by_mpmath(p, r)
+        assert np.max(np.abs(got - want)) <= 1e-14 * want, (r, got, want)
+
+
+def test_non_diagonal_operands_keep_the_dense_contraction():
+    # only an operand with no nonzero entry off its diagonal takes the
+    # squared moduli: a random A gets the dense contraction of both
+    # evaluators, bit for bit (one block of points; one point and nodes
+    # without the fold's symmetry, so that H_x pairs with A itself)
+    p = FockParams(1, 1.0, 24, 26)
+    A = _random_matrix_operator(p, 21)
+    rng = np.random.default_rng(22)
+    pts = (rng.standard_normal(30) + 1j * rng.standard_normal(30))[:, None]
+    E = basis_matrix(p, pts)
+    norms = operators._squared_norms(E)
+    assert np.array_equal(
+        berezin_values(A, pts), np.sum(E * (A.matrix @ np.conj(E)), axis=0) / norms
+    )
+    nodes, c = np.array([[0.3], [-0.1 + 0.4j], [0.2j]]), np.array([0.5, 0.3, 0.2])
+    x = np.array([[0.7 - 0.2j]])
+    E = basis_matrix(p, x - nodes)
+    H = (E * (c / operators._squared_norms(E))) @ np.conj(E).T
+    want = (H.reshape(1, 1, -1) @ A.matrix.reshape(-1, 1))[:, 0, 0]
+    assert np.array_equal(BerezinTranslateSum(A, nodes, c).eval(x), want)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_berezin_evaluators_reject_non_finite_points(value):
+    # a NaN point read NaN from berezin_values (with a warning), from the
+    # translate sum and from an operator convolution (silently); an inf
+    # point raised a ValueError about overflow
+    p = FockParams(1, 1.0, 4, 6)
+    A = weyl(p, 0.3)
+    pts = np.array([[value], [0.2]])
+    evaluators = [
+        lambda x: berezin_values(A, x),
+        BerezinTranslateSum(A, [[0.0]], [1.0]).eval,
+        conv_op_op(A, A),
+        lambda x: basis_matrix(p, x),
+    ]
+    for evaluate in evaluators:
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            evaluate(pts)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_berezin_evaluators_reject_a_non_finite_operator(value):
+    # an inf entry reached BLAS ("invalid value encountered in matmul"),
+    # as convolutions never let it; the structure check comes after, since
+    # inf - inf is NaN
+    p = FockParams(1, 1.0, 4, 6)
+    for a, b in [(0, 0), (1, 0)]:
+        M = np.eye(p.dim, dtype=complex)
+        M[a, b] = value
+        A = FockOperator(p, M)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            berezin_values(A, np.array([[0.2]]))
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            BerezinTranslateSum(A, [[0.0]], [1.0])
 
 
 @pytest.mark.parametrize(
