@@ -23,7 +23,9 @@ Two steps realize the constructive scheme:
    norms (rows scaled first where those overflow), gives
    g_N(r) = <A, H_r>.  A diagonal A (T of e^{-|z|^2/2} and P_C among
    the Theorem A targets) needs only the diagonal of H_r, the weighted
-   squared moduli of the translated rows, and no Gram product.  Every
+   squared moduli of the translated rows, and no Gram product; those
+   are the real weights x^alpha / alpha!, x = |w|^2 / t, formed with no
+   complex row (only pairs past 2^512 take the scaled rows).  Every
    fit lattice is closed under z -> i z and conjugation with
    coefficients equal on each orbit, so one H_r gives g_N at all eight
    points of the orbit of r (the docstring of

@@ -53,9 +53,10 @@ from .symbols import Gaussian, GridSymbol, Scale, Symbol, Translate
 # Berezin sum one point's basis columns at all J translates and its
 # d x d Gram matrix (outer loop) or one translate's basis column (inner
 # loop).  For an operand with no nonzero entry off its diagonal, a
-# Berezin row holds each basis value's real squared modulus beside it
-# (24 bytes a value) and no Gram matrix.  A block and its few
-# temporaries set the peak memory of a convolution; 1 MiB (about 100
+# berezin_values row holds each basis value's real squared modulus beside
+# it (24 bytes a value), a translated-sum row only the real weights (8
+# bytes a value, 16 at n >= 2), and neither a Gram matrix.  A block and
+# its few temporaries set the peak memory of a convolution; 1 MiB (about 100
 # matrices at D = 24) measured both lower peak memory and shorter runs
 # than 4 MiB, and the products stay large enough for BLAS.
 _CHUNK_BYTES = 2**20
@@ -401,6 +402,46 @@ def _squared_moduli(E: np.ndarray) -> np.ndarray:
     return S
 
 
+def _degree_weights(params: FockParams, points: np.ndarray):
+    """|E_alpha(w)|^2 = prod_a x_a^{alpha_a} / alpha_a!, x_a = |w_a|^2 / t, and its column sums.
+
+    points: a finite complex (P, n) array.  Returns the real (dim, P)
+    table and its column sums |E(w)|^2.  Each plane's table is the
+    running product of the steps x_a / k, as in basis_matrix but real and
+    with no squaring; at n >= 2 the planes' rows are gathered and
+    multiplied.  The sums are taken row by row, so a column's sum does
+    not depend on P.  A column whose sum is not <= 2^512 (past it, or
+    inf or NaN past the float range) is taken from basis_matrix,
+    _squared_norms and _squared_moduli instead, as in berezin_values: so
+    _squared_norms stays the one overflow rule, and basis_matrix raises
+    past its range.
+    """
+    P, D, n = points.shape[0], params.D, params.n
+    inverse = 1.0 / (np.arange(1, D + 1) * params.t)[:, None]
+    idx = np.array(multi_indices(params)) if n > 1 else None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a in range(n):
+            w = points[:, a]
+            tab = np.empty((D + 1, P))
+            tab[0] = 1.0
+            np.multiply(np.square(w.real) + np.square(w.imag), inverse, out=tab[1:])  # x_a / k
+            for k in range(1, D + 1):
+                tab[k] *= tab[k - 1]
+            if a == 0:
+                S = tab if n == 1 else tab[idx[:, 0]]
+            else:
+                S *= tab[idx[:, a]]
+        norms = S[0].copy()
+        for row in S[1:]:
+            norms += row
+    far = ~(norms <= 2.0**512)
+    if far.any():
+        E = basis_matrix(params, points[far])
+        norms[far] = _squared_norms(E)
+        S[:, far] = _squared_moduli(E)
+    return S, norms
+
+
 def berezin_values(A: FockOperator, points: np.ndarray) -> np.ndarray:
     """Berezin transform values A~(z) = <A k_z, k_z> at the given points.
 
@@ -440,6 +481,17 @@ def berezin_values(A: FockOperator, points: np.ndarray) -> np.ndarray:
     return out
 
 
+def _weighted_degree_sums(params: FockParams, pairs: np.ndarray, c: np.ndarray, p: int):
+    """sum_j c_j |E(w_ij)|^2 / |E(w_ij)|^2 at [i, alpha], for p points' point-major pairs w_ij.
+
+    One product per point.  The table is freed on return, before the next
+    block builds its own.
+    """
+    S, norms = _degree_weights(params, pairs)
+    w = c / norms.reshape(p, -1)
+    return (S.reshape(S.shape[0], p, -1).transpose(1, 0, 2) @ w[:, :, None])[:, :, 0]
+
+
 class BerezinSymbol(Symbol):
     """Exact Berezin transform of an operator as an evaluable symbol."""
 
@@ -464,8 +516,14 @@ class BerezinTranslateSum(Symbol):
     berezin_values, E(w) is basis_matrix at w, and _squared_norms scales
     E(w) where |E(w)|^2 passes 2^512.  If A has no nonzero entry off its
     diagonal, only the diagonal of H_r is needed:
-    g(r) = sum_j c_j (diag(A) . |E(r - z_j)|^2) / |E(r - z_j)|^2, from
-    the squared moduli of the scaled columns, with no Gram product.
+    g(r) = sum_j c_j (diag(A) . |E(r - z_j)|^2) / |E(r - z_j)|^2, with no
+    Gram product and no complex column: |E_alpha(w)|^2 is the real weight
+    prod_a x_a^{alpha_a} / alpha_a!, x_a = |w_a|^2 / t, the Poisson law
+    of the degree under a coherent state (_degree_weights).  A pair whose
+    weights sum past 2^512 (about |w| = 93 at D = 60, t = 1) takes the
+    squared moduli of its scaled column instead, bit for bit as before,
+    so _squared_norms stays the one overflow rule and basis_matrix still
+    raises past its range.
 
     E_a(i^m w) = i^{m|a|} E_a(w) and E_a(conj w) = conj(E_a(w)) exactly.
     When the nodes are distinct, closed under z -> i z and z -> conj z, and
@@ -482,19 +540,23 @@ class BerezinTranslateSum(Symbol):
     <A, H_r> is taken.  A point's value does not depend on the other
     points evaluated with it.  The points are taken a block at a time,
     16 d (J + d) bytes each within _CHUNK_BYTES (its J basis columns and
-    its d x d H_r), or 24 d J for a diagonal A (the columns and their
-    squared moduli), and within a block the (point, translate) pairs a
-    block of translates at a time; with no nodes g = 0.  Non-finite
-    entries of A, nodes or coefficients, or unequal counts of nodes and
-    coefficients, raise ValueError.
+    its d x d H_r), or 8 d (J + 3) for a diagonal A (its J real weight
+    columns, the diagonal of H_r and its product's output; 8 d (2 J + 3)
+    at n >= 2, where gathering the plane rows makes a copy), and within a
+    block the (point, translate) pairs a block of translates at a time;
+    far pairs add their complex columns beside it.  With no nodes g = 0.
+    Non-finite entries of A, nodes or coefficients, or unequal counts of
+    nodes and coefficients, raise ValueError.
 
     Against the sum of its `parts`, the explicit expansion, it agrees to
-    9.8e-13 / 8.4e-13 / 2.1e-13 of max |g| on the D = 24 grid at N = 8 for
+    1.2e-12 / 8.4e-13 / 2.6e-13 of max |g| on the D = 24 grid at N = 8 for
     the three Theorem A targets (T of e^{-|z|^2/2}, W_0.5, P_C; one BLAS
     thread; the first and last are diagonal), and to 3.6e-14 for a random
     A.  For scale, eps sum_j |c_j| = 1.4e-11 there
     (eps = 2.2e-16): the translates cancel, and either order of the sums
-    rounds on that scale.
+    rounds on that scale.  For T of e^{-|z|^2/2} it agrees with 40-digit
+    mpmath to 3.7e-15 relative from |z| = 0 to 300 (n = 1 at D = 24, 40,
+    60; n = 2 at D = 14), on both sides of the 2^512 edge.
     """
 
     def __init__(self, A: FockOperator, nodes, coefficients):
@@ -573,26 +635,30 @@ class BerezinTranslateSum(Symbol):
         params = self.A.params
         d, n = params.dim, params.n
         J = self.nodes.shape[0]
-        # one translate's basis column, with its squared moduli if diagonal
-        column = (24 if diagonal else 16) * d
+        if diagonal:
+            # a pair's real weights (beside the plane rows gathered for them
+            # at n >= 2); a point's diagonal of H_x and its product's output
+            column, point = 8 * min(n, 2) * d, 24 * d
+        else:
+            # a pair's basis column; a point's d x d H_x
+            column, point = 16 * d, 16 * d * d
         g = np.empty((X.shape[0], F.shape[1]), dtype=complex)
-        for r in _blocks(X.shape[0], column * J + (0 if diagonal else 16 * d * d)):
+        for r in _blocks(X.shape[0], column * J + point):
             xs = X[r]
             p = xs.shape[0]
             H = np.zeros((p, F.shape[0]), dtype=complex)  # H_x, or its diagonal, flat
             for j in _blocks(J, column):
                 zs = self.nodes[j]
-                pairs = (xs[:, None, :] - zs[None, :, :]).reshape(-1, n)
-                E = basis_matrix(params, pairs)  # (d, pairs), point-major pairs
-                w = self.coefficients[j] / _squared_norms(E).reshape(p, -1)
+                pairs = (xs[:, None, :] - zs[None, :, :]).reshape(-1, n)  # point-major
                 if diagonal:
-                    S = _squared_moduli(E).reshape(d, p, -1).transpose(1, 0, 2)
-                    H += (S @ w[:, :, None])[:, :, 0]
+                    H += _weighted_degree_sums(params, pairs, self.coefficients[j], p)
                 else:
+                    E = basis_matrix(params, pairs)  # (d, pairs)
+                    w = self.coefficients[j] / _squared_norms(E).reshape(p, -1)
                     E = E.reshape(d, p, -1).transpose(1, 0, 2)  # (point, a, node)
                     H += ((E * w[:, None, :]) @ np.conj(E).transpose(0, 2, 1)).reshape(p, -1)
-            # one product per point, here and in the diagonal sum over nodes,
-            # so that its value does not depend on the block; a block-wide
+            # one product per point, here and in _weighted_degree_sums, so
+            # that its value does not depend on the block; a block-wide
             # product rounds by block shape
             g[r] = (H[:, None, :] @ F)[:, 0]
         return g

@@ -297,18 +297,28 @@ def _symbol_deviation(sym, pts):
 
 
 def _count_gram_points(monkeypatch):
-    """A counter of the points at which operators.basis_matrix is evaluated.
+    """Counters of the (point, translate) pairs a translate sum evaluates, by route.
 
-    The parts reach the same function through berezin_values, so a test
-    that also evaluates them reads the count before it does.
+    count["basis"] counts the points of operators.basis_matrix (the
+    complex columns of a dense operand, and the far columns of a diagonal
+    one), count["table"] those of operators._degree_weights (the real
+    weights of a diagonal operand); a far column counts on both.  The
+    parts reach basis_matrix through berezin_values, so a test that also
+    evaluates them reads the count before it does.
     """
-    count, basis = [0], operators.basis_matrix
+    count = {"basis": 0, "table": 0}
 
-    def counting(params, points):
-        count[0] += points.shape[0]
-        return basis(params, points)
+    def counting(key, evaluate):
+        def counted(params, points):
+            count[key] += points.shape[0]
+            return evaluate(params, points)
 
-    monkeypatch.setattr(operators, "basis_matrix", counting)
+        return counted
+
+    monkeypatch.setattr(operators, "basis_matrix", counting("basis", operators.basis_matrix))
+    monkeypatch.setattr(
+        operators, "_degree_weights", counting("table", operators._degree_weights)
+    )
     return count
 
 
@@ -361,7 +371,7 @@ def test_symbol_matches_parts_at_reflected_points(monkeypatch):
     # the eight points of the orbit share one Gram matrix
     count = _count_gram_points(monkeypatch)
     sym.eval(pts[:8])
-    assert count[0] == fit.nodes.shape[0]
+    assert sum(count.values()) == fit.nodes.shape[0]
 
 
 @pytest.mark.filterwarnings("ignore:.*trusted")
@@ -375,7 +385,7 @@ def test_symbol_without_orbit_constant_coefficients(monkeypatch):
     sym = build_symbol_from_berezin(_random_operator(P24, 12), replace(fit, coefficients=c))
     count = _count_gram_points(monkeypatch)
     g = sym.eval(P24.grid().nodes)
-    assert count[0] == P24.grid().nodes.shape[0] * fit.nodes.shape[0]
+    assert sum(count.values()) == P24.grid().nodes.shape[0] * fit.nodes.shape[0]
     ref = SymbolSum(sym.parts).eval(P24.grid().nodes)
     assert np.max(np.abs(g - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -389,13 +399,29 @@ def _theorem_a_target(kind):
 @pytest.mark.parametrize("kind", ["dense", "diagonal"])
 def test_symbol_builds_one_gram_matrix_per_folded_point(monkeypatch, kind):
     # the 676 nodes of the Q = 26 grid fold onto 91 octant representatives
-    # (169 if only the rotation were used); each costs one basis evaluation
-    # per translate, for a Gram matrix or for the squared moduli alone
+    # (169 if only the rotation were used); each costs one evaluation per
+    # translate: complex basis columns for a Gram matrix, or the real
+    # degree weights alone, which stay in range on this grid
     fit = fit_heat_kernel(P24, 8)
     sym = build_symbol_from_berezin(_theorem_a_target(kind), fit)
     count = _count_gram_points(monkeypatch)
     sym.eval(P24.grid().nodes)
-    assert count[0] == 91 * fit.nodes.shape[0]
+    assert sum(count.values()) == 91 * fit.nodes.shape[0]
+    assert count["table" if kind == "dense" else "basis"] == 0
+
+
+def test_diagonal_pairs_leave_the_table_only_past_its_range(monkeypatch):
+    # at D = 60 the table's column sum is about 1e110 at |w| = 40, which
+    # stays on the real weights, and about 1e215 at |w| = 300, past 2^512,
+    # where the pairs take the complex columns of basis_matrix as well
+    params = FockParams(1, 1.0, 60, 62)
+    sym = BerezinTranslateSum(toeplitz(params, Gaussian(width=2.0)), [[0.0]], [1.0])
+    turns = np.exp(1j * np.array([0.3, 2.0, 4.0]))[:, None]
+    count = _count_gram_points(monkeypatch)
+    sym.eval(40.0 * turns)
+    assert count == {"basis": 0, "table": 3}
+    sym.eval(300.0 * turns)
+    assert count == {"basis": 3, "table": 6}
 
 
 @pytest.mark.filterwarnings("ignore:.*trusted")
@@ -455,7 +481,7 @@ def test_symbol_folds_with_conjugated_nodes(monkeypatch):
     sym = BerezinTranslateSum(_random_operator(P24, 14), nodes, fit.coefficients)
     count = _count_gram_points(monkeypatch)
     g = sym.eval(P24.grid().nodes)
-    assert count[0] == 91 * fit.nodes.shape[0]
+    assert sum(count.values()) == 91 * fit.nodes.shape[0]
     ref = SymbolSum(sym.parts).eval(P24.grid().nodes)
     assert np.max(np.abs(g - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -476,7 +502,7 @@ def test_symbol_without_the_symmetry_takes_the_unfolded_path(monkeypatch, case):
     sym = BerezinTranslateSum(_random_operator(P24, 15), nodes, coefficients)
     count = _count_gram_points(monkeypatch)
     g = sym.eval(P24.grid().nodes)
-    assert count[0] == P24.grid().nodes.shape[0] * nodes.shape[0]
+    assert sum(count.values()) == P24.grid().nodes.shape[0] * nodes.shape[0]
     ref = SymbolSum(sym.parts).eval(P24.grid().nodes)
     assert np.max(np.abs(g - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -497,8 +523,9 @@ def test_symbol_memory_counts_the_gram_matrices(kind):
     # an N = 1 fit (one node) at D = 40 on 4000 points: blocks sized by the
     # basis columns alone held a 41 x 41 Gram matrix for each of 1598 points
     # and peaked at 90.4 MB of traced memory; counting them too, 3.4 MB.  A
-    # diagonal A forms no Gram matrix, and its blocks count the squared
-    # moduli instead: 3.1 MB.  An entry at [1, 0] makes A dense
+    # diagonal A forms no Gram matrix, and its blocks count the real
+    # weights, the diagonal of H_x and its product's output: 1.4 MB (3.1 MB
+    # from the complex columns).  An entry at [1, 0] makes A dense
     params = FockParams(1, 1.0, 40, 42)
     A = toeplitz(params, Gaussian(width=4.0))
     if kind == "dense":
@@ -588,10 +615,11 @@ def test_symbol_evaluation_memory():
 
 @pytest.mark.filterwarnings("ignore:.*trusted")
 def test_diagonal_symbol_forms_no_gram_matrices():
-    # T of e^{-|z|^2/2} on the D = 24 grid at N = 8: the squared moduli of
-    # one point's 1117 translated columns take 1.4 MiB of traced memory at
-    # peak.  The Gram path's (point, a, b) stacks, with the weighted
-    # columns and their conjugates, peaked at 2.8 MiB on this operand
+    # T of e^{-|z|^2/2} on the D = 24 grid at N = 8: blocks of four points'
+    # real degree weights at their 1117 translates take 1.06 MiB of traced
+    # memory at peak.  The complex columns with their squared moduli, one
+    # point a block, took 1.4 MiB, and the Gram path's (point, a, b)
+    # stacks, with the weighted columns and their conjugates, 2.8 MiB
     sym = build_symbol_from_berezin(_theorem_a_target("diagonal"), fit_heat_kernel(P24, 8))
     pts = P24.grid().nodes
     sym.eval(pts[:1])  # warm the model's caches

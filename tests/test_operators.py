@@ -712,6 +712,42 @@ def test_berezin_values_past_the_power_limit_raise(
             evaluate(A, past * direction)
 
 
+@pytest.mark.parametrize(
+    "p, edge",
+    [(FockParams(1, 1.0, 60, 62), 92.690966774042), (FockParams(2, 1.0, 14, 16), 785737.28495419)],
+    ids=["n1-D60", "n2-D14"],
+)
+def test_degree_weights_leave_the_table_at_two_to_the_512(monkeypatch, p, edge):
+    # the table's column sum sum_{k <= D} x^k / k!, x = |w|^2 / t, is 2^512
+    # at |w| = edge (by the multinomial theorem at n = 2).  A pair 1e-8
+    # inside keeps its real weights; one 1e-8 outside takes the complex
+    # columns, bit for bit as berezin_values scales them.  All values
+    # agree with 40-digit mpmath (measured 3.4e-15 at n = 1, 1.0e-15 at n = 2)
+    direction = np.exp(1j * np.array([0.3, 2.0]))[:, None] * np.full(p.n, 1.0 / np.sqrt(p.n))
+    inside, outside = edge * (1 - 1e-8), edge * (1 + 1e-8)
+    pts = np.concatenate([inside * direction, outside * direction])
+    seen, basis = [], operators.basis_matrix
+
+    def recording(params, points):
+        seen.append(points)
+        return basis(params, points)
+
+    monkeypatch.setattr(operators, "basis_matrix", recording)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        S, norms = operators._degree_weights(p, pts)
+        assert len(seen) == 1 and np.array_equal(seen[0], pts[2:])
+        E = basis(p, pts[2:])
+        scaled = operators._squared_norms(E)  # scales E in place first
+        assert np.array_equal(S[:, 2:] / norms[2:], operators._squared_moduli(E) / scaled)
+        assert np.all(norms[:2] <= 2.0**512)
+        A = toeplitz(p, Gaussian(width=2.0, n=p.n))
+        got = BerezinTranslateSum(A, np.zeros((1, p.n)), [1.0]).eval(pts)
+    for values, r in [(got[:2], inside), (got[2:], outside)]:
+        want = _gaussian_berezin_by_mpmath(p, r)
+        assert np.all(np.abs(values - want) <= 1e-14 * want), (r, values, want)
+
+
 @_OFF_DIAGONAL
 def test_berezin_values_of_a_large_operator_stay_finite_far_out(off_diagonal):
     # <E, A E> overflowed before |E|^2 did when ||A|| > 1: A = 10 I read
@@ -785,8 +821,9 @@ def test_berezin_values_memory_is_one_block(off_diagonal):
 )
 def test_diagonal_berezin_values_match_mpmath(p, evaluate):
     # T of e^{-|z|^2/2} is diagonal, so both evaluators take the mean of its
-    # diagonal against |e_alpha(z)|^2; from the origin to far past the
-    # trusted window, measured <= 3.6e-15 relative (D = 60)
+    # diagonal against |e_alpha(z)|^2 (the translate sum from its real
+    # weights); from the origin to far past the trusted window, measured
+    # <= 3.7e-15 relative (D = 60)
     A = toeplitz(p, Gaussian(width=2.0, n=p.n))
     direction = np.full(p.n, 1.0 / np.sqrt(p.n))
     turns = np.exp(1j * np.array([0.0, 0.7, 2.0, 4.0]))[:, None]

@@ -38,9 +38,10 @@ CALLED = {"identities": ["convolution.conv_fun_op.calls"]}
 # basis, or the basis counters would silently miss the probes
 BEREZIN_PROBES = {"semiclassical", "two_variables"}
 
-# the translated Berezin sums evaluate their (point, translate) pairs
-# through model.basis_matrix: 343,600 points in the small theorem_a pass,
-# where the plane basis alone gave 400
+# the translated Berezin sum of the dense W_0.5 evaluates its (point,
+# translate) pairs through model.basis_matrix: 114,800 points in the small
+# theorem_a pass, where the plane basis alone gave 400 (the diagonal
+# targets' pairs take the real degree weights, which the tracer does not see)
 BASIS_POINTS = {"theorem_a": 100_000}
 
 
