@@ -129,15 +129,44 @@ def _point_rows(params: FockParams, points) -> np.ndarray:
     return points
 
 
+def _plane_products(params: FockParams, values: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """The (dim, P) array prod_a T_a[alpha_a, p] of one running-product table T_a per plane.
+
+    values: a real or complex (P, n) array; scale: shape (D,).  Plane a's
+    table is T_a[0] = 1, T_a[k] = T_a[k - 1] values[p, a] scale[k - 1]:
+    the (D, P) steps are formed once, then D in-place row products.  At
+    n = 1 the table is the result; at n >= 2 the planes' rows are
+    gathered by multi_indices and multiplied.  numpy's complex multiply
+    rounds a one-element row differently from its vector loop, so a lone
+    point is evaluated as two equal columns and one is kept: a column does
+    not depend on the batch it is evaluated in.
+    """
+    P, D, n = values.shape[0], params.D, params.n
+    if P == 1:
+        return _plane_products(params, np.repeat(values, 2, axis=0), scale)[:, :1].copy()
+    idx = np.array(multi_indices(params)) if n > 1 else None
+    for a in range(n):
+        tab = np.empty((D + 1, P), dtype=values.dtype)
+        tab[0] = 1.0
+        np.multiply(values[:, a], scale[:, None], out=tab[1:])  # the steps
+        for k in range(1, D + 1):
+            tab[k] *= tab[k - 1]
+        if a == 0:
+            out = tab if n == 1 else tab[idx[:, 0]]
+        else:
+            out *= tab[idx[:, a]]
+    return out
+
+
 def basis_matrix(params: FockParams, points: np.ndarray) -> np.ndarray:
     """Evaluate all basis elements at many points: E[j, i] = e_{alpha_j}(points[i]).
 
     points: (P, n) complex array, or one point of shape (n,).
 
     Each plane's table e_k(z_a), k = 0..D, is the normalised running
-    product e_0 = 1, e_k = e_{k-1} z_a / sqrt(k t): the (D, P) steps are
-    formed once, then D in-place row products.  At n = 1 the table is the
-    result; at n >= 2 the planes' rows are gathered and multiplied.  It
+    product e_0 = 1, e_k = e_{k-1} z_a / sqrt(k t), taken by
+    _plane_products, so a point's column does not depend on the other
+    points evaluated with it, a lone point included.  It
     matches 40-digit mpmath to 4e-15 relative per entry for D <= 60 and
     |z| <= 9 (measured 1.7e-15 at D = 60, t = 0.3).  By the multinomial
     theorem e_alpha(z) <= e_{|alpha|}(|z|), which grows with the degree
@@ -157,19 +186,7 @@ def basis_matrix(params: FockParams, points: np.ndarray) -> np.ndarray:
                 f"|z| = {far:.4g} is past {limit:.4g}, where the degree-{D} basis "
                 f"values overflow (t = {params.t})"
             )
-    inverse = 1.0 / np.sqrt(np.arange(1, D + 1) * params.t)[:, None]
-    idx = np.array(multi_indices(params)) if params.n > 1 else None
-    for a in range(params.n):
-        tab = np.empty((D + 1, P), dtype=complex)
-        tab[0] = 1.0
-        np.multiply(points[:, a], inverse, out=tab[1:])  # the steps z_a / sqrt(k t)
-        for k in range(1, D + 1):
-            tab[k] *= tab[k - 1]
-        if a == 0:
-            E = tab if params.n == 1 else tab[idx[:, 0]]
-        else:
-            E *= tab[idx[:, a]]
-    return E
+    return _plane_products(params, points, 1.0 / np.sqrt(np.arange(1, D + 1) * params.t))
 
 
 @lru_cache(maxsize=1)

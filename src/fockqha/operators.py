@@ -37,6 +37,7 @@ from .model import (
     _check_finite,
     _grid_basis,
     _pair_pick,
+    _plane_products,
     _point_rows,
     basis_matrix,
     multi_indices,
@@ -164,15 +165,14 @@ def _box_product(params: FockParams, blocks) -> np.ndarray:
 def weyl_matrices(params: FockParams, zs) -> np.ndarray:
     """Matrices of the Weyl operators W_z for many points: shape (P, dim, dim).
 
-    zs has shape (P, n).  Each entry is the exact matrix element
-    <W_z e_b, e_a>; the compression of W_z to the degree box is the tensor
-    product of one-variable blocks, so for n >= 2 an element is the
-    product over axes of the one-variable elements at the indices'
-    components.
+    zs has shape (P, n), or (n,) for one point; another shape, or an inf
+    or NaN coordinate, raises ValueError (_point_rows).  Each entry is the
+    exact matrix element <W_z e_b, e_a>; the compression of W_z to the
+    degree box is the tensor product of one-variable blocks, so for
+    n >= 2 an element is the product over axes of the one-variable
+    elements at the indices' components.
     """
-    zs = np.asarray(zs, dtype=complex)
-    if zs.ndim != 2 or zs.shape[1] != params.n:
-        raise ValueError(f"points must have shape (P, {params.n}), got {zs.shape}")
+    zs = _point_rows(params, zs)
     return _box_product(params, (_axis_blocks(z, params.t, params.D) for z in zs.T))
 
 
@@ -180,7 +180,8 @@ def weyl(params: FockParams, z) -> FockOperator:
     """Matrix of the Weyl operator W_z f(w) = k_z(w) f(w - z).
 
     W_0 is the identity and W_{-z} = W_z^*; on the trusted sub-block
-    (degrees <= D/2) the matrix is an isometry up to truncation.
+    (degrees <= D/2) the matrix is an isometry up to truncation.  An inf
+    or NaN coordinate raises ValueError.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     return FockOperator(params, weyl_matrices(params, z[None, :])[0])
@@ -406,31 +407,18 @@ def _degree_weights(params: FockParams, points: np.ndarray):
     """|E_alpha(w)|^2 = prod_a x_a^{alpha_a} / alpha_a!, x_a = |w_a|^2 / t, and its column sums.
 
     points: a finite complex (P, n) array.  Returns the real (dim, P)
-    table and its column sums |E(w)|^2.  Each plane's table is the
-    running product of the steps x_a / k, as in basis_matrix but real and
-    with no squaring; at n >= 2 the planes' rows are gathered and
-    multiplied.  The sums are taken row by row, so a column's sum does
+    table and its column sums |E(w)|^2.  The table is _plane_products of
+    the x_a with the steps 1 / (k t), the kernel of basis_matrix, with no
+    squaring.  The sums are taken row by row, so a column's sum does
     not depend on P.  A column whose sum is not <= 2^512 (past it, or
     inf or NaN past the float range) is taken from basis_matrix,
     _squared_norms and _squared_moduli instead, as in berezin_values: so
     _squared_norms stays the one overflow rule, and basis_matrix raises
     past its range.
     """
-    P, D, n = points.shape[0], params.D, params.n
-    inverse = 1.0 / (np.arange(1, D + 1) * params.t)[:, None]
-    idx = np.array(multi_indices(params)) if n > 1 else None
     with np.errstate(over="ignore", invalid="ignore"):
-        for a in range(n):
-            w = points[:, a]
-            tab = np.empty((D + 1, P))
-            tab[0] = 1.0
-            np.multiply(np.square(w.real) + np.square(w.imag), inverse, out=tab[1:])  # x_a / k
-            for k in range(1, D + 1):
-                tab[k] *= tab[k - 1]
-            if a == 0:
-                S = tab if n == 1 else tab[idx[:, 0]]
-            else:
-                S *= tab[idx[:, a]]
+        x = np.square(points.real) + np.square(points.imag)
+        S = _plane_products(params, x, 1.0 / (np.arange(1, params.D + 1) * params.t))
         norms = S[0].copy()
         for row in S[1:]:
             norms += row
@@ -538,8 +526,9 @@ class BerezinTranslateSum(Symbol):
     x = i^m conj r) by swapping and negating parts, which is exact, and H is built once
     per distinct r.  Otherwise every distinct point is its own r and only
     <A, H_r> is taken.  A point's value does not depend on the other
-    points evaluated with it.  The points are taken a block at a time,
-    16 d (J + d) bytes each within _CHUNK_BYTES (its J basis columns and
+    points evaluated with it, at J = 1 too, where a lone point's pair is
+    one basis column (_plane_products evaluates it as a batch).  The
+    points are taken a block at a time, 16 d (J + d) bytes each within _CHUNK_BYTES (its J basis columns and
     its d x d H_r), or 8 d (J + 3) for a diagonal A (its J real weight
     columns, the diagonal of H_r and its product's output; 8 d (2 J + 3)
     at n >= 2, where gathering the plane rows makes a copy), and within a
@@ -688,11 +677,13 @@ def heat_values(f, t: float, points: np.ndarray, Q: int = 40) -> np.ndarray:
     order Q per real axis (Q^{2n} nodes).  f is evaluated once per block
     of points, on all of the block's shifted copies at once; the block
     size follows from _CHUNK_BYTES, counted on the array of shifted points.
+    A point with an inf or NaN coordinate raises ValueError.
     """
     points = np.asarray(points, dtype=complex)
     if points.ndim != 2:
         # a flat array of P points would read as one point in C^P
         raise ValueError(f"points must have shape (P, n), got {points.shape}")
+    _check_finite(points)
     if not 0 < t < np.inf:
         raise ValueError(f"heat transform weight t must be positive and finite, got {t}")
     if isinstance(f, Gaussian):

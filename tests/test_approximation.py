@@ -391,7 +391,9 @@ def test_symbol_without_orbit_constant_coefficients(monkeypatch):
 
 
 def _theorem_a_target(kind):
-    """W_0.5 (dense), or T of e^{-|z|^2/2} (diagonal: no Gram matrices are formed)."""
+    """W_0.5 (dense), T of e^{-|z|^2/2} (diagonal: no Gram matrices are formed), or P_C."""
+    if kind == "projection":
+        return pc_operator(P24)
     return weyl(P24, 0.5) if kind == "dense" else toeplitz(P24, Gaussian(width=2.0))
 
 
@@ -425,11 +427,14 @@ def test_diagonal_pairs_leave_the_table_only_past_its_range(monkeypatch):
 
 
 @pytest.mark.filterwarnings("ignore:.*trusted")
-@pytest.mark.parametrize("kind", ["dense", "diagonal"])
-def test_symbol_value_does_not_depend_on_the_batch(kind):
+@pytest.mark.parametrize("N", [1, 4])
+@pytest.mark.parametrize("kind", ["dense", "diagonal", "projection"])
+def test_symbol_value_does_not_depend_on_the_batch(kind, N):
     # a grid node alone and the same node inside the whole grid, bit for
-    # bit; the picks include points reflected across the diagonal
-    sym = build_symbol_from_berezin(_theorem_a_target(kind), fit_heat_kernel(P24, 4))
+    # bit; the picks include points reflected across the diagonal.  At
+    # N = 1 a lone node's pair is one basis column: evaluated as a
+    # one-element complex row, W_0.5 differed alone at 585 of the 676 nodes
+    sym = build_symbol_from_berezin(_theorem_a_target(kind), fit_heat_kernel(P24, N))
     nodes = P24.grid().nodes
     g = sym.eval(nodes)
     picks = np.random.default_rng(10).choice(nodes.shape[0], 40, replace=False)

@@ -874,6 +874,26 @@ def test_berezin_evaluators_reject_non_finite_points(value):
             evaluate(pts)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, complex(np.nan, 1.0)])
+def test_weyl_and_heat_evaluators_reject_non_finite_points(value):
+    # weyl read 625 non-finite entries of 625 at an inf point (577 at a
+    # NaN), with a RuntimeWarning, and alpha_op passed them on; the heat
+    # transform of a Gaussian read 0 at inf and NaN at nan + 1j
+    p = FockParams(1, 1.0, 24, 26)
+    A = weyl(p, 0.3)
+    pts = np.array([[value], [0.2]])
+    evaluators = [
+        lambda x: weyl(p, x[0]),
+        lambda x: weyl_matrices(p, x),
+        lambda x: alpha_op(A, x[0]),
+        lambda x: heat_values(Gaussian(), 1.0, x),
+        lambda x: heat_values(Constant(1.0), 1.0, x),
+    ]
+    for evaluate in evaluators:
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            evaluate(pts)
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_berezin_evaluators_reject_a_non_finite_operator(value):
     # an inf entry reached BLAS ("invalid value encountered in matmul"),
