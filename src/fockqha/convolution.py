@@ -125,7 +125,7 @@ def _dv_grid(params: FockParams, cfg: ConvolutionConfig, f=None) -> GaussGrid:
         if f.n != params.n:
             raise ValueError(f"a Gaussian on C^{f.n} has no convolution rule on C^{params.n}")
         tau = t * f.width / (t + f.width)
-        return polar_dv_grid(params.n, tau, cfg.m, (tau / f.width) * np.asarray(f.center))
+        return polar_dv_grid(params.n, tau, cfg.m, (tau / f.width) * np.array(f.center))
     return polar_dv_grid(params.n, t, cfg.m)
 
 
@@ -140,28 +140,17 @@ def u_conjugate(A: FockOperator) -> FockOperator:
     return FockOperator(A.params, U @ A.matrix @ U)
 
 
-def _centers(f: Gaussian, n: int) -> np.ndarray:
-    """The centre c_k of a Gaussian on each of the n planes."""
-    return np.broadcast_to(np.atleast_1d(np.asarray(f.center, dtype=complex)), (n,))
-
-
 def _gaussian_paddings(f, params: FockParams) -> list[int] | None:
     """The padding K_k of each plane if f * A takes the closed form, else None.
 
-    f must be a Gaussian on C^n with finite amplitude and centre, and no
-    plane may be padded past _MAX_PADDED_DEGREE.  A Gaussian the
-    quadrature path would reject, for its dimension or a non-finite
-    amplitude or centre, stays on that path and raises there; one centred
-    too far out for the padding takes that path's exact rule.
+    f must be a Gaussian on C^n, and no plane may be padded past
+    _MAX_PADDED_DEGREE.  A Gaussian on another C^n stays on the quadrature
+    path and raises there; one centred too far out for the padding takes
+    that path's exact rule.
     """
-    if not (
-        isinstance(f, Gaussian)
-        and f.n == params.n
-        and np.isfinite(f.amplitude)
-        and np.all(np.isfinite(f.center))
-    ):
+    if not (isinstance(f, Gaussian) and f.n == params.n):
         return None
-    paddings = [_padding(params.t, params.D, c) for c in _centers(f, params.n)]
+    paddings = [_padding(params.t, params.D, c) for c in f.center]
     return None if None in paddings else paddings
 
 
@@ -270,7 +259,7 @@ def _gaussian_conv(f: Gaussian, A: FockOperator, paddings: list[int]) -> FockOpe
     pick = _pair_pick(params)
     X = np.zeros((d, d) * n, dtype=complex)
     X[pick] = A.matrix
-    for c, K in zip(_centers(f, n), paddings):
+    for c, K in zip(f.center, paddings):
         X = X.reshape(d, d, -1)
         X = _band_map(_noise_kernels(t, D + K, f.width), np.pad(X, ((0, K), (0, K), (0, 0))))
         if K:
@@ -285,14 +274,13 @@ def _gaussian_conv(f: Gaussian, A: FockOperator, paddings: list[int]) -> FockOpe
 def conv_fun_op(f, A: FockOperator, cfg: ConvolutionConfig) -> FockOperator:
     """f * A = the Bochner integral of f(z) alpha_z(A) dV(z).
 
-    A Gaussian f on the model's C^n with finite amplitude and centre takes
-    the closed form (_gaussian_conv) whatever cfg says, and builds no rule,
-    unless a centre would pad its plane past degree 200 (|c| > 5.4 at
-    D = 24, t = 1).  That Gaussian, and any other f, is a quadrature: the
-    sum of c_i W_i A W_i^* over the nodes with nonzero weight
-    c_i = w_i f(z_i) is one (dim x B r) by (B r x dim) product per block
-    of B nodes, on the polar rule of _dv_grid, with r the rank of A in
-    _conjugations (r = dim when A is kept whole).
+    A Gaussian f on the model's C^n takes the closed form (_gaussian_conv)
+    whatever cfg says, and builds no rule, unless a centre would pad its
+    plane past degree 200 (|c| > 5.4 at D = 24, t = 1).  That Gaussian, and
+    any other f, is a quadrature: the sum of c_i W_i A W_i^* over the nodes
+    with nonzero weight c_i = w_i f(z_i) is one (dim x B r) by (B r x dim)
+    product per block of B nodes, on the polar rule of _dv_grid, with r the
+    rank of A in _conjugations (r = dim when A is kept whole).
     Satisfies ||f * A|| <= ||f||_{L^1} ||A|| up to truncation.  The blocks
     and the summation order are fixed, so results are reproducible
     bit-for-bit.

@@ -189,7 +189,6 @@ def basis_matrix(params: FockParams, points: np.ndarray) -> np.ndarray:
     return _plane_products(params, points, 1.0 / np.sqrt(np.arange(1, D + 1) * params.t))
 
 
-@lru_cache(maxsize=1)
 def _grid_basis(params: FockParams):
     """The plane factor of the Gaussian grid: one-variable basis values on one plane.
 
@@ -199,19 +198,14 @@ def _grid_basis(params: FockParams):
     Returns (e, b), both (D + 1) x Q^2: e[a, i] = e_a(x_i) on the plane's
     nodes x_i and b = conj(e) * plane weights, so that the plane Gram
     matrix is b @ e.T.  At n = 1 the plane is the whole grid and
-    <f e_b, e_a> = (b * f) @ e.T.  Both are read-only, because they are
-    cached and shared.  The cache keeps the most recent model only: the
-    pair takes 2 (D + 1) Q^2 16 bytes (2.3 MB at D = 40, Q = 42), and a
-    sweep that rebuilds the model per weight t would otherwise keep one
-    pair per t.
+    <f e_b, e_a> = (b * f) @ e.T.  The pair is built on every call and
+    not kept: it takes 2 (D + 1) Q^2 16 bytes (2.3 MB at D = 40, Q = 42),
+    which a cache would hold for a caller that never reads it again.
     """
     plane = FockParams(1, params.t, params.D, params.Q)
     grid = plane.grid()
     e = basis_matrix(plane, grid.nodes)
-    b = np.conj(e) * grid.weights
-    e.flags.writeable = False
-    b.flags.writeable = False
-    return e, b
+    return e, np.conj(e) * grid.weights
 
 
 @dataclass(frozen=True)
@@ -361,13 +355,10 @@ def trusted_norm(A: FockOperator) -> float:
     Graded order lists those degrees first, so the block is the leading
     comb(D//2 + n, n) square; the top degrees of a truncated matrix carry
     truncation artifacts that no identity can be checked against.  The
-    block keeps its zero padding to dim x dim: the SVD of the bare block
-    rounds differently in the last bits.
+    SVD is of that k x k block alone, k^3 work rather than dim^3.
     """
     k = math.comb(A.params.D // 2 + A.params.n, A.params.n)
-    block = np.zeros_like(A.matrix)
-    block[:k, :k] = A.matrix[:k, :k]
-    return operator_norm_2(FockOperator(A.params, block))
+    return float(_svdvals(A.matrix[:k, :k])[0])
 
 
 def singular_values(A: FockOperator) -> np.ndarray:

@@ -316,14 +316,13 @@ def _gaussian_toeplitz(params: FockParams, f: Gaussian) -> np.ndarray:
     """The exact Toeplitz matrix of a Gaussian: the product of its plane matrices.
 
     The symbol and mu_t are products over the planes, and so is e_alpha,
-    so M[alpha, beta] = amplitude prod_k T_k[alpha_k, beta_k].
+    so M[alpha, beta] = amplitude prod_k T_k[alpha_k, beta_k], with T_k
+    from the centre c_k that the Gaussian stores for plane k.  A Gaussian
+    on another C^n raises ValueError.
     """
     if f.n != params.n:
         raise ValueError(f"a Gaussian on C^{f.n} has no Toeplitz matrix on C^{params.n}")
-    centers = np.broadcast_to(np.atleast_1d(np.asarray(f.center, dtype=complex)), (f.n,))
-    if not (np.isfinite(f.amplitude) and np.all(np.isfinite(centers))):
-        raise ValueError(f"non-finite Gaussian: amplitude {f.amplitude}, centre {f.center}")
-    planes = (_gaussian_plane(params.t, params.D, f.width, c)[None] for c in centers)
+    planes = (_gaussian_plane(params.t, params.D, f.width, c)[None] for c in f.center)
     M = _box_product(params, planes)[0]
     M *= f.amplitude
     return M
@@ -339,9 +338,9 @@ def toeplitz(params: FockParams, f) -> FockOperator:
     A Gaussian takes its closed form (`_gaussian_toeplitz`) and builds no
     grid: it agrees with a 40-digit mpmath sum of its moment series to
     1e-14 of max |M| for D <= 40, |c_k| <= 5 and t from 0.05 to 1 (measured
-    2.4e-15).  A Gaussian on another C^n, or with a non-finite amplitude or
-    centre, raises ValueError.  Every other f takes quadrature on the model
-    grid, which is exact for polynomial symbols only.
+    2.4e-15).  A Gaussian on another C^n raises ValueError.  Every other f
+    takes quadrature on the model grid, which is exact for polynomial
+    symbols only.
 
     The Gaussian-grid sum is contracted one plane at a time (sum
     factorisation; Orszag, J. Comput. Phys. 37 (1980)), so no

@@ -73,7 +73,13 @@ class Constant(Symbol):
 
 @dataclass
 class Gaussian(Symbol):
-    """amplitude * exp(-|w - center|^2 / width)."""
+    """amplitude * exp(-|w - center|^2 / width).
+
+    The centre is stored as a tuple of n complex numbers, one per plane; a
+    scalar centre is broadcast to every plane.  A width that is not
+    positive and finite, a centre of another length, or a non-finite
+    amplitude or centre raises ValueError at construction.
+    """
 
     center: complex | Sequence[complex] = 0.0
     width: float = 1.0
@@ -89,18 +95,22 @@ class Gaussian(Symbol):
                 f"Gaussian centre must be a scalar or have shape ({self.n},), "
                 f"got shape {np.shape(self.center)}"
             )
+        if not (np.isfinite(self.amplitude) and np.all(np.isfinite(self.center))):
+            raise ValueError(
+                f"non-finite Gaussian: amplitude {self.amplitude}, centre {self.center}"
+            )
+        self.center = tuple(complex(c) for c in np.broadcast_to(self.center, (self.n,)))
 
     def eval(self, points):
-        c = np.atleast_1d(np.asarray(self.center, dtype=complex))
-        d = points - c[None, :]
+        d = points - self.center
         return self.amplitude * np.exp(-np.sum(np.abs(d) ** 2, axis=1) / self.width)
 
     # a Gaussian stays a Gaussian, so convolutions keep their exact rule
     def translated(self, z0) -> "Gaussian":
-        return replace(self, center=np.asarray(self.center, dtype=complex) + np.asarray(z0))
+        return replace(self, center=np.add(self.center, z0))
 
     def flipped(self) -> "Gaussian":
-        return replace(self, center=-np.asarray(self.center, dtype=complex))
+        return replace(self, center=np.negative(self.center))
 
     def __mul__(self, other):
         """A Gaussian again when other is a Gaussian on the same C^n (completed square).
@@ -111,8 +121,7 @@ class Gaussian(Symbol):
         if not (isinstance(other, Gaussian) and other.n == self.n):
             return Symbol.__mul__(self, other)
         W1, W2 = self.width, other.width
-        c1 = np.asarray(self.center, dtype=complex)
-        c2 = np.asarray(other.center, dtype=complex)
+        c1, c2 = np.array(self.center), np.array(other.center)
         gap = np.sum(np.abs(c1 - c2) ** 2)
         return Gaussian(
             center=(W2 * c1 + W1 * c2) / (W1 + W2),
@@ -127,8 +136,7 @@ def heat_gaussian(s: float, n: int = 1) -> Gaussian:
     # checked before the amplitude, which divides by s
     if not 0 < s < np.inf:
         raise ValueError(f"heat kernel width must be positive and finite, got {s}")
-    center = 0.0 if n == 1 else np.zeros(n, dtype=complex)
-    return Gaussian(center=center, width=s, amplitude=(np.pi * s) ** (-n), n=n)
+    return Gaussian(width=s, amplitude=(np.pi * s) ** (-n), n=n)
 
 
 @dataclass

@@ -6,7 +6,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import fockqha.model as M
 from fockqha.experiments import (
     SweepRecord,
     ccr_weyl_approximation,
@@ -33,16 +32,14 @@ def test_sweep_record_rejects_negative_quantity():
         SweepRecord(1.0, -0.5)
 
 
-def test_a_sweep_holds_one_model_basis():
-    # the sweep rebuilds the model per weight t; the plane-basis cache keeps
-    # the last model's, 2 (D + 1) Q^2 16 bytes (2.3 MB here), where a cache of
-    # 128 models held all eight (18.5 MB)
+def test_a_sweep_holds_no_model_basis():
+    # the sweep rebuilds the model per weight t; no plane basis of any t
+    # (2 (D + 1) Q^2 16 bytes, 2.3 MB here) outlives it
     base = FockParams(1, 1.0, 40, 42)
     f, g = Gaussian(width=4.0), Gaussian(width=2.0)
     weights = 2.0 ** -np.arange(8)
     # fill the other caches (grids, index tables) before tracing
     quantization_sweep(f, g, weights, base, m=5)
-    M._grid_basis.cache_clear()
     tracemalloc.start()
     try:
         quantization_sweep(f, g, weights, base, m=5)
@@ -51,7 +48,7 @@ def test_a_sweep_holds_one_model_basis():
         tracemalloc.stop()
     arrays = snapshot.filter_traces([tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
     held = sum(stat.size for stat in arrays.statistics("filename"))
-    assert held <= 2 * (base.D + 1) * base.Q**2 * 16, held
+    assert held == 0, held
 
 
 def test_quantization_trivial_constant_symbols():

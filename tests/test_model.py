@@ -372,10 +372,3 @@ def test_basis_matrix_at_n1_is_one_table_in_place():
     finally:
         tracemalloc.stop()
     assert E.nbytes > 2**19 and peak < 1.5 * E.nbytes, (E.nbytes, peak)
-
-
-def test_cached_grid_basis_is_read_only():
-    E, B = M._grid_basis(FockParams(1, 1.0, 6, 8))
-    for arr in (E, B):
-        with pytest.raises(ValueError):
-            arr[0, 0] = 99.0

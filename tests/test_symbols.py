@@ -134,6 +134,30 @@ def test_gaussian_scalar_centre_repeats_on_every_axis():
     assert Gaussian(center=[0.1])(0.0)[0] == pytest.approx(np.exp(-0.01))
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"amplitude": np.inf}, {"amplitude": np.nan}, {"center": np.nan}, {"center": np.inf}],
+    ids=["inf-amplitude", "nan-amplitude", "nan-centre", "inf-centre"],
+)
+def test_gaussian_rejects_a_nonfinite_amplitude_or_centre(kwargs):
+    # raised where it is built, so no later evaluation reads it as 0 or NaN
+    with pytest.raises(ValueError, match="non-finite"):
+        Gaussian(**kwargs)
+    with pytest.raises(ValueError, match="non-finite"):
+        Gaussian(n=2, **kwargs)
+
+
+def test_gaussian_stores_one_centre_per_plane():
+    assert Gaussian(center=0.3, n=2).center == (0.3, 0.3)
+    assert Gaussian(center=[0.2, -0.1j], n=2).translated(0.5).center == (0.7, 0.5 - 0.1j)
+
+
+def test_gaussians_compare_equal_on_several_planes():
+    assert Gaussian(center=np.zeros(2), n=2) == Gaussian(center=np.zeros(2), n=2)
+    assert Gaussian(center=0.0, n=2) == Gaussian(center=[0.0, 0.0], n=2)
+    assert Gaussian(center=0.1, n=2) != Gaussian(center=[0.1, 0.2], n=2)
+
+
 _coord = st.floats(-2.0, 2.0)
 _complex = st.builds(complex, _coord, _coord)
 
