@@ -109,8 +109,6 @@ def resolve_config(args) -> dict:
     for key, (_, cast, _, _) in SETTINGS.items():
         flagged = getattr(args, key, None)
         value = cfg[key] if flagged is None else flagged
-        if value is None:
-            continue
         try:
             cfg[key] = cast(value)
         except (TypeError, ValueError) as exc:

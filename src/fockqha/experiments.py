@@ -60,14 +60,12 @@ def write_sweep_csv(records: list, path, columns=("parameter", "quantity")) -> N
 
 
 def _trusted_points(params: FockParams, m: int = 21) -> np.ndarray:
-    """A deterministic sampling grid covering the trusted window (n = 1)."""
+    """A deterministic sampling grid covering the trusted window in the first coordinate plane."""
     r = params.trusted_radius / np.sqrt(2.0)
     ax = np.linspace(-r, r, m)
     X, Y = np.meshgrid(ax, ax, indexing="ij")
-    pts = (X + 1j * Y).ravel()[:, None]
-    if params.n > 1:
-        pad = np.zeros((pts.shape[0], params.n - 1), dtype=complex)
-        pts = np.concatenate([pts, pad], axis=1)
+    pts = np.zeros((m * m, params.n), dtype=complex)
+    pts[:, 0] = (X + 1j * Y).ravel()
     return pts
 
 

@@ -48,15 +48,14 @@ from .symbols import Gaussian, GridSymbol, Scale, Symbol, Translate
 # Byte budget of one block of rows; _blocks is its one reader.  A row is
 # one point's real Weyl matrix with its operand rows (inner loop) or its
 # one-variable tables (outer loop) in the batched conjugations, one
-# row's weighted plane (dim x Q^2) in the last plane of a Toeplitz
-# quadrature, one point's basis column in a Berezin transform, one
-# point's Q^{2n} shifted copies in a heat transform, and in a translated
-# Berezin sum one point's basis columns at all J translates and its
-# d x d Gram matrix (outer loop) or one translate's basis column (inner
-# loop).  For an operand with no nonzero entry off its diagonal, a
-# berezin_values row holds each basis value's real squared modulus beside
-# it (24 bytes a value), a translated-sum row only the real weights (8
-# bytes a value, 16 at n >= 2), and neither a Gram matrix.  A block and
+# point's basis column in a Berezin transform, one point's Q^{2n}
+# shifted copies in a heat transform, and in a translated Berezin sum
+# one point's basis columns at all J translates and its d x d Gram
+# matrix (outer loop) or one translate's basis column (inner loop).  For
+# an operand with no nonzero entry off its diagonal, a berezin_values
+# row holds each basis value's real squared modulus beside it (24 bytes
+# a value), a translated-sum row only the real weights (8 bytes a value,
+# 16 at n >= 2), and neither a Gram matrix.  A block and
 # its few temporaries set the peak memory of a convolution; 1 MiB (about 100
 # matrices at D = 24) measured both lower peak memory and shorter runs
 # than 4 MiB, and the products stay large enough for BLAS.
@@ -347,28 +346,26 @@ def toeplitz(params: FockParams, f) -> FockOperator:
     dim x Q^{2n} basis matrix is formed.  With f on the grid reshaped to
     F[i_1, ..., i_n] and the plane factor (e, b) of _grid_basis,
     M[alpha, beta] = sum over i of F[i] prod_k b[alpha_k, i_k] e[beta_k, i_k].
-    Planes 1 to n - 1 are each one product against the (Q^2, (D+1)^2)
-    factor K[i, (a, b)] = b[a, i] e[b, i]; plane n is (b * G) @ e.T for
-    every row G of what is left, a block of rows at a time; the
-    alpha, beta entries are then gathered.  Plane n keeps the weighted
-    form so that at n = 1 the result is the plain quadrature (b * f) @ e.T
-    bit for bit; a product against K rounds differently.  At n = 2 and 3
-    it agrees with the dense sum over the Q^{2n} nodes to 2e-15 relative.
+    At n = 1 this is the dense sum (b * f) @ e.T.  At n >= 2 the
+    (Q^2, (D+1)^2) factor K[i, (a, b)] = b[a, i] e[b, i] is formed once,
+    every plane is one product against it, and the alpha, beta entries
+    are then gathered.  K is not used at n = 1, where it would hold
+    (D+1)^2 Q^2 entries for a (D+1)^2 result.  It agrees with the dense
+    sum over the Q^{2n} nodes to 2e-15 relative at n = 2 and 3.
     """
     if isinstance(f, Gaussian):
         return FockOperator(params, _gaussian_toeplitz(params, f))
     e, b = _grid_basis(params)
-    d, m = e.shape
     G = params.grid().evaluate(f)
-    for _ in range(params.n - 1):
+    if params.n == 1:
+        return FockOperator(params, (b * G) @ e.T)
+    d, m = e.shape
+    K = (b[:, None, :] * e[None, :, :]).reshape(d * d, m).T
+    for _ in range(params.n):
         # the leading plane is contracted, and its index pair goes last
-        G = G.reshape(m, -1).T @ (b[:, None, :] * e[None, :, :]).reshape(d * d, m).T
-    G = G.reshape(m, -1).T
-    H = np.empty((G.shape[0], d, d), dtype=complex)
-    for rows in _blocks(G.shape[0], 16 * d * m):
-        H[rows] = ((b * G[rows, None, :]).reshape(-1, m) @ e.T).reshape(-1, d, d)
-    # H[a_1, b_1, ..., a_n, b_n] is the degree-pair box
-    return FockOperator(params, H.reshape((d, d) * params.n)[_pair_pick(params)])
+        G = G.reshape(m, -1).T @ K
+    # G[a_1, b_1, ..., a_n, b_n] is the degree-pair box
+    return FockOperator(params, G.reshape((d, d) * params.n)[_pair_pick(params)])
 
 
 def _squared_norms(E: np.ndarray) -> np.ndarray:
@@ -584,8 +581,6 @@ class BerezinTranslateSum(Symbol):
     def eval(self, points):
         params = self.A.params
         points = _point_rows(params, points)
-        if self.nodes.shape[0] == 0:
-            return np.zeros(points.shape[0], dtype=complex)
         A = self.A.matrix
         diagonal = _diagonal(A)
         symmetric = self._symmetric()

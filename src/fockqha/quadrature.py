@@ -80,14 +80,17 @@ class GaussGrid:
         write_csv(path, header + ["weight"], cols.tolist())
 
 
+def _tensor_power(nodes_1d: np.ndarray, weights_1d: np.ndarray, k: int):
+    """The k-th tensor power of a 1-d rule: nodes (P, k), one column per axis, and weights (P,)."""
+    mesh = np.meshgrid(*[nodes_1d] * k, indexing="ij")
+    nodes = np.stack([m.ravel() for m in mesh], axis=-1)
+    return nodes, reduce(np.multiply.outer, [weights_1d] * k).ravel()
+
+
 def _tensorize(nodes_1d: np.ndarray, weights_1d: np.ndarray, n: int):
     """Tensor a 1-d real rule over the 2n real axes of C^n."""
-    axes = [nodes_1d] * (2 * n)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    coords = np.stack([m.ravel() for m in mesh], axis=-1)  # (P, 2n)
-    w = reduce(np.multiply.outer, [weights_1d] * (2 * n)).ravel()
-    z = coords[:, 0::2] + 1j * coords[:, 1::2]
-    return z, w
+    coords, w = _tensor_power(nodes_1d, weights_1d, 2 * n)
+    return coords[:, 0::2] + 1j * coords[:, 1::2], w
 
 
 @lru_cache(maxsize=64)
@@ -178,11 +181,9 @@ def polar_dv_grid(n: int, tau: float, m: int, center=0.0) -> GaussGrid:
     half = np.exp((np.arange(M // 2) + 0.5) * (2j * np.pi / M))
     unit = np.concatenate([half, -np.ones(M % 2), np.conj(half[::-1])])
     z1 = np.multiply.outer(np.sqrt(tau * s), unit).ravel()
-    w1 = np.repeat((np.pi * tau / M) * w, M)
-    mesh = np.meshgrid(*[z1] * n, indexing="ij")
-    z = np.stack([k.ravel() for k in mesh], axis=-1)
+    z, wt = _tensor_power(z1, np.repeat((np.pi * tau / M) * w, M), n)
     center = np.broadcast_to(np.asarray(center, dtype=complex), (n,))
-    return GaussGrid(z + center, reduce(np.multiply.outer, [w1] * n).ravel())
+    return GaussGrid(z + center, wt)
 
 
 def _legendre_rule(W: float, m: int):

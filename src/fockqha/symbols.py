@@ -30,6 +30,21 @@ def as_points(z, n: int) -> np.ndarray:
     return z
 
 
+def _plane_tuple(name: str, value, n: int) -> tuple:
+    """value as n complex numbers, one per plane; a scalar is repeated on every plane.
+
+    Any other shape, or an inf or NaN entry, raises ValueError: a vector
+    of another length would be broadcast or summed over the wrong axes.
+    """
+    if np.ndim(value) != 0 and np.shape(value) != (n,):
+        raise ValueError(
+            f"{name} must be a scalar or have shape ({n},), got shape {np.shape(value)}"
+        )
+    if not np.all(np.isfinite(value)):
+        raise ValueError(f"non-finite {name}: {value}")
+    return tuple(complex(c) for c in np.broadcast_to(value, (n,)))
+
+
 class Symbol:
     """Base class; subclasses implement eval(points) for (P, n) input."""
 
@@ -89,17 +104,9 @@ class Gaussian(Symbol):
     def __post_init__(self):
         if not 0 < self.width < np.inf:
             raise ValueError(f"Gaussian width must be positive and finite, got {self.width}")
-        # a centre of another length would be broadcast or summed over the wrong axes
-        if np.ndim(self.center) != 0 and np.shape(self.center) != (self.n,):
-            raise ValueError(
-                f"Gaussian centre must be a scalar or have shape ({self.n},), "
-                f"got shape {np.shape(self.center)}"
-            )
-        if not (np.isfinite(self.amplitude) and np.all(np.isfinite(self.center))):
-            raise ValueError(
-                f"non-finite Gaussian: amplitude {self.amplitude}, centre {self.center}"
-            )
-        self.center = tuple(complex(c) for c in np.broadcast_to(self.center, (self.n,)))
+        if not np.isfinite(self.amplitude):
+            raise ValueError(f"non-finite Gaussian amplitude: {self.amplitude}")
+        self.center = _plane_tuple("Gaussian centre", self.center, self.n)
 
     def eval(self, points):
         d = points - self.center
@@ -141,15 +148,21 @@ def heat_gaussian(s: float, n: int = 1) -> Gaussian:
 
 @dataclass
 class PlaneWave(Symbol):
-    """w -> exp(i Im(w . conj(zeta)))."""
+    """w -> exp(i Im(w . conj(zeta))).
+
+    zeta is stored as n complex numbers, one per plane, as a Gaussian's
+    centre is: a scalar is repeated, and another length or an inf or NaN
+    entry raises ValueError.
+    """
 
     zeta: complex | Sequence[complex] = 1.0
     n: int = 1
 
+    def __post_init__(self):
+        self.zeta = _plane_tuple("PlaneWave zeta", self.zeta, self.n)
+
     def eval(self, points):
-        zeta = np.atleast_1d(np.asarray(self.zeta, dtype=complex))
-        phase = np.imag(points @ np.conj(zeta))
-        return np.exp(1j * phase)
+        return np.exp(1j * np.imag(points @ np.conj(self.zeta)))
 
 
 @dataclass
@@ -208,10 +221,15 @@ class Horizontal(Symbol):
     """Symbol depending only on the real parts: exp(-sum Re(w_a)^2 / width).
 
     Invariant under all purely imaginary translations by construction.
+    A width that is not positive and finite raises ValueError.
     """
 
     width: float = 1.0
     n: int = 1
+
+    def __post_init__(self):
+        if not 0 < self.width < np.inf:
+            raise ValueError(f"Horizontal width must be positive and finite, got {self.width}")
 
     def eval(self, points):
         x = np.real(points)
@@ -220,17 +238,22 @@ class Horizontal(Symbol):
 
 @dataclass
 class Translate(Symbol):
-    """translate(f, z0)(w) = f(w - z0); realizes the shift action on symbols."""
+    """translate(f, z0)(w) = f(w - z0); realizes the shift action on symbols.
+
+    z0 is stored as n complex numbers, one per plane, as a Gaussian's
+    centre is: a scalar is repeated, and another length or an inf or NaN
+    entry raises ValueError.
+    """
 
     inner: Symbol
     z0: complex | Sequence[complex]
 
     def __post_init__(self):
         self.n = self.inner.n
+        self.z0 = _plane_tuple("Translate shift", self.z0, self.n)
 
     def eval(self, points):
-        z0 = np.atleast_1d(np.asarray(self.z0, dtype=complex))
-        return self.inner.eval(points - z0[None, :])
+        return self.inner.eval(points - np.array(self.z0))
 
 
 @dataclass
@@ -264,6 +287,8 @@ class SymbolSum(Symbol):
 
     def __post_init__(self):
         self.n = self.parts[0].n
+        if any(p.n != self.n for p in self.parts):
+            raise ValueError(f"parts on different C^n: n = {[p.n for p in self.parts]}")
 
     def eval(self, points):
         out = np.zeros(points.shape[0], dtype=complex)
@@ -276,8 +301,7 @@ class SymbolSum(Symbol):
 class SymbolProduct(Symbol):
     parts: list
 
-    def __post_init__(self):
-        self.n = self.parts[0].n
+    __post_init__ = SymbolSum.__post_init__  # all parts on one C^n
 
     def eval(self, points):
         out = np.ones(points.shape[0], dtype=complex)

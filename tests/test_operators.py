@@ -408,6 +408,22 @@ def test_toeplitz_builds_no_grid_sized_basis():
     assert peak < 16 * 2**20, peak
 
 
+def test_grid_toeplitz_n2_keeps_one_plane_factor():
+    # K (Q^2 x (D+1)^2) and the degree-pair box are the largest arrays:
+    # 2.88 MiB measured; a stack of weighted last planes, one per row of
+    # the box, peaked at 3.76 MiB
+    p = FockParams(2, 1.0, 14, 16)
+    f = Constant(1.0, n=2)
+    toeplitz(p, f)  # builds the grid
+    tracemalloc.start()
+    try:
+        toeplitz(p, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.2 * 2**20, peak
+
+
 def gaussian_plane_by_mpmath(t, D, width, c):
     """<f e_b, e_a> for f = e^{-|w - c|^2/width} on one plane, summed at 40 digits.
 

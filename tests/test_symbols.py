@@ -199,10 +199,67 @@ def test_gaussian_times_anything_else_is_a_symbol_product():
     g = Gaussian(center=0.3, width=2.0)
     p = Polynomial(terms=[((1,), (1,), 1.0)])
     pts = np.array([0.0, 0.5 - 1.0j])[:, None]
-    for product in (g * p, p * g, g * Gaussian(center=np.zeros(2), n=2)):
+    for product in (g * p, p * g):
         assert isinstance(product, SymbolProduct)
+    # a product with a Gaussian on C^2 would read a point of C^1 as (z, z)
+    with pytest.raises(ValueError, match="C\\^n"):
+        g * Gaussian(center=np.zeros(2), n=2)
     assert np.max(np.abs((g * p)(pts) - g(pts) * p(pts))) == 0.0
     assert isinstance(2.0 * g, Scale) and isinstance(g * 2.0, Scale)
+
+
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        # an inf shift made every value 0, so T of it was the zero matrix
+        (lambda: Translate(Gaussian(), np.inf), "non-finite"),
+        # both shifts were subtracted: 0.951 at 0, where either alone reads 0.990 or 0.961
+        (lambda: Translate(Gaussian(), [0.1, 0.2]), "shape"),
+        (lambda: Translate(Gaussian(n=2), [0.1, 0.2, 0.3]), "shape"),
+        (lambda: PlaneWave(zeta=np.nan), "non-finite"),
+        (lambda: PlaneWave(zeta=[0.1, 0.2]), "shape"),
+    ],
+    ids=[
+        "translate-inf",
+        "translate-two-shifts",
+        "translate-three-shifts-n2",
+        "wave-nan",
+        "wave-two-zetas",
+    ],
+)
+def test_shifts_and_frequencies_are_one_finite_number_per_plane(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
+def test_shifts_and_frequencies_repeat_a_scalar_on_every_plane():
+    pts = np.array([[0.0, 0.3j], [1.0 - 0.5j, -0.2]])
+    wave = PlaneWave(zeta=[0.5 + 0.1j, 0.5 + 0.1j], n=2)
+    assert np.array_equal(PlaneWave(zeta=0.5 + 0.1j, n=2)(pts), wave(pts))
+    assert PlaneWave(zeta=0.5 + 0.1j, n=2).zeta == wave.zeta
+    g = Gaussian(width=1.5, n=2)
+    assert np.array_equal(Translate(g, 0.3)(pts), Translate(g, [0.3, 0.3])(pts))
+
+
+@pytest.mark.parametrize("width", [0.0, -1.0, np.inf, np.nan])
+def test_horizontal_rejects_a_width_that_is_not_positive_and_finite(width):
+    # width -1 gave max |T| = 1087 at D = 6, and width 0 the zero matrix
+    with pytest.raises(ValueError, match="width must be positive and finite"):
+        Horizontal(width=width)
+
+
+@pytest.mark.parametrize(
+    "combine",
+    [lambda f, g: f + g, lambda f, g: f - g, lambda f, g: f * g],
+    ids=["sum", "difference", "product"],
+)
+def test_sums_and_products_reject_parts_on_different_dimensions(combine):
+    # the sum read a point of C^1 as one of C^2: 1.970 at 0.1, where its
+    # n = 1 part reads 0.990
+    f, g = Gaussian(center=0.2), Gaussian(n=2)
+    for a, b in ((f, g), (g, f)):
+        with pytest.raises(ValueError, match="C\\^n"):
+            combine(a, b)
 
 
 def test_algebraic_combinators():
