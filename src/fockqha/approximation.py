@@ -13,8 +13,12 @@ Two steps realize the constructive scheme:
    equations and the residual are assembled from 1-d Gram factors, never
    from the (80^2 x J) design matrix.  The problem is invariant under the
    eight symmetries of the lattice, so it is solved for one coefficient
-   per orbit (156 unknowns instead of J = 1117 at N = 8), and no J x J
-   matrix is formed; the numbers equal the dense assembly's to roundoff.
+   per orbit (156 unknowns instead of J = 1117 at N = 8).  The rule and
+   the lattice axis are symmetric about 0, so G1 (x) G1, the normal
+   matrix, is invariant under the eight maps acting on both indices, and
+   an orbit pair's entry is read from G1 at the eight images of one
+   orbit's first node: no J x J matrix is formed, and the numbers equal
+   the dense assembly's to roundoff.
 2. For an operator A in the trusted class, build the symbol
    g_N = sum_j c_j * (Berezin transform of A)(. - z_j) and compare A
    with the Toeplitz operator T_{g_N}.  g_N is evaluated translates first,
@@ -103,16 +107,25 @@ def fit_heat_kernel(params: FockParams, N: int) -> HeatKernelFit:
     # the D4 orbit of each node: the problem is invariant under z -> i z
     # and conjugation, so its unique minimiser is constant on each orbit
     u, v = np.abs(a - k), np.abs(b - k)
-    _, orbit, sizes = np.unique(
-        np.maximum(u, v) * (k + 1) + np.minimum(u, v), return_inverse=True, return_counts=True
+    _, first, orbit, sizes = np.unique(
+        np.maximum(u, v) * (k + 1) + np.minimum(u, v),
+        return_index=True,
+        return_inverse=True,
+        return_counts=True,
     )
 
     # The dV window (the lattice plus the Gaussian tails of f_t) is the
     # square of a 1-d rule, and f_s and every atom f_t(. - z_j) factor over
     # the real and imaginary axes, so the normal matrix is
     # G[i, j] = G1[a_i, a_j] G1[b_i, b_j] / (pi t)^2 with the symmetric 1-d
-    # Gram matrix G1 = E^T diag(w) E.  Summed over orbits, with V_o the
-    # orbit's indicator on the lattice square, (P^T G P)[o', o] = <V_o', G1 V_o G1>.
+    # Gram matrix G1 = E^T diag(w) E.  The rule and the axis are symmetric
+    # about 0, so G[g i, g j] = G[i, j] (to rounding) for each of the eight
+    # lattice maps g: (p, q) -> (+-p, +-q), (+-q, +-p) in coordinates
+    # p = a - k, q = b - k.  The row sum of G over an orbit o is then the
+    # same at every node of an orbit o', and g -> g r_o, r_o the orbit's
+    # first node, meets each node of o 8 / |o| times, so summed over orbits
+    # (P^T G P)[o', o] = |o'| |o| / 8 sum_g G[r_o', g r_o]: two gathers from
+    # G1 of (orbits x orbits) per map.
     x, w = _legendre_rule(float(radius + 4.0 * np.sqrt(t)), 80)
     E = np.exp(-((x[:, None] - axis[None, :]) ** 2) / t)  # (80, 2k + 1)
     F = np.sqrt(w)[:, None] * E
@@ -120,10 +133,14 @@ def fit_heat_kernel(params: FockParams, N: int) -> HeatKernelFit:
     g = np.exp(-(x**2) / s)
     r1 = E.T @ (w * g)
     rhs = np.bincount(orbit, weights=r1[a] * r1[b] / (np.pi**2 * s * t))
-    V = np.zeros((sizes.size, axis.size, axis.size))
-    V[orbit, a, b] = 1.0
-    Y = G1 @ (V @ G1)
-    Gr = V.reshape(sizes.size, -1) @ Y.reshape(sizes.size, -1).T / (np.pi * t) ** 2
+    ra, rb = a[first], b[first]
+    pq = ((ra - k, rb - k), (rb - k, ra - k))
+    Gr = sum(
+        G1[ra[:, None], k + p] * G1[rb[:, None], k + q]
+        for p0, q0 in pq
+        for p in (p0, -p0)
+        for q in (q0, -q0)
+    ) * (np.outer(sizes, sizes) / (8 * (np.pi * t) ** 2))
     d = np.diag(G1)
     scale = float(d[a] @ d[b]) / (np.pi * t) ** 2 / a.size  # trace(G) / J
 

@@ -51,7 +51,9 @@ from .symbols import Gaussian, GridSymbol, Scale, Symbol, Translate
 # point's basis column in a Berezin transform, one point's Q^{2n}
 # shifted copies in a heat transform, and in a translated Berezin sum
 # one point's basis columns at all J translates and its d x d Gram
-# matrix (outer loop) or one translate's basis column (inner loop).  For
+# matrix (outer loop) or one translate's basis column (inner loop); a
+# block of translates holds one weighted copy of its columns beside them,
+# and no conjugate copy (the conjugate is taken in place).  For
 # an operand with no nonzero entry off its diagonal, a berezin_values
 # row holds each basis value's real squared modulus beside it (24 bytes
 # a value), a translated-sum row only the real weights (8 bytes a value,
@@ -524,14 +526,16 @@ class BerezinTranslateSum(Symbol):
     <A, H_r> is taken.  A point's value does not depend on the other
     points evaluated with it, at J = 1 too, where a lone point's pair is
     one basis column (_plane_products evaluates it as a batch).  The
-    points are taken a block at a time, 16 d (J + d) bytes each within _CHUNK_BYTES (its J basis columns and
-    its d x d H_r), or 8 d (J + 3) for a diagonal A (its J real weight
-    columns, the diagonal of H_r and its product's output; 8 d (2 J + 3)
-    at n >= 2, where gathering the plane rows makes a copy), and within a
-    block the (point, translate) pairs a block of translates at a time;
-    far pairs add their complex columns beside it.  With no nodes g = 0.
-    Non-finite entries of A, nodes or coefficients, or unequal counts of
-    nodes and coefficients, raise ValueError.
+    points are taken a block at a time, 16 d (J + d) bytes each within
+    _CHUNK_BYTES (its J basis columns and its d x d H_r; beside the
+    columns the Gram product holds one weighted copy, and it conjugates
+    the columns in place), or 8 d (J + 3) for a diagonal A (its J real
+    weight columns, the diagonal of H_r and its product's output;
+    8 d (2 J + 3) at n >= 2, where gathering the plane rows makes a
+    copy), and within a block the (point, translate) pairs a block of
+    translates at a time; far pairs add their complex columns beside it.
+    With no nodes g = 0.  Non-finite entries of A, nodes or coefficients,
+    or unequal counts of nodes and coefficients, raise ValueError.
 
     Against the sum of its `parts`, the explicit expansion, it agrees to
     1.2e-12 / 8.4e-13 / 2.6e-13 of max |g| on the D = 24 grid at N = 8 for
@@ -639,7 +643,9 @@ class BerezinTranslateSum(Symbol):
                     E = basis_matrix(params, pairs)  # (d, pairs)
                     w = self.coefficients[j] / _squared_norms(E).reshape(p, -1)
                     E = E.reshape(d, p, -1).transpose(1, 0, 2)  # (point, a, node)
-                    H += ((E * w[:, None, :]) @ np.conj(E).transpose(0, 2, 1)).reshape(p, -1)
+                    # E * w is formed before E is conjugated in place
+                    gram = (E * w[:, None, :]) @ np.conjugate(E, out=E).transpose(0, 2, 1)
+                    H += gram.reshape(p, -1)
             # one product per point, here and in _weighted_degree_sums, so
             # that its value does not depend on the block; a block-wide
             # product rounds by block shape

@@ -129,8 +129,8 @@ def _dense_fit(params, N):
 def test_factored_fit_matches_dense_assembly(N):
     # same quadrature, same least-squares problem: only the summation order
     # differs, and the 1e-8-ridge normal equations amplify its roundoff to
-    # relative coefficient deltas of 9.4e-8 (N = 2) and 1.5e-7 (N = 4) on
-    # one BLAS thread, 5.7e-8 and 3.2e-7 on two
+    # relative coefficient deltas of 8.1e-8 (N = 2) and 2.1e-7 (N = 4) on
+    # one BLAS thread, 6.3e-8 and 3.7e-7 on two
     fit = fit_heat_kernel(P, N)
     nodes, c, resid = _dense_fit(P, N)
     assert np.array_equal(fit.nodes[:, 0], nodes)
@@ -139,17 +139,72 @@ def test_factored_fit_matches_dense_assembly(N):
     assert abs(fit.l1_residual - resid) <= 1e-8
 
 
+def _orbit_indicator_fit(params, N):
+    """The fit with its orbit normal matrix summed over orbit indicators.
+
+    V_o is the orbit's indicator on the lattice square, and the orbit
+    normal matrix is <V_o', G1 V_o G1> / (pi t)^2, formed through three
+    (orbits x side x side) arrays; the rest is the fit's own recipe.
+    """
+    t, s = params.t, params.t / N
+    pitch, radius = 0.5 * np.sqrt(s), 3.0 * np.sqrt(t) + np.sqrt(s)
+    k = int(radius / pitch)
+    axis = pitch * np.arange(-k, k + 1)
+    lattice = (axis[:, None] + 1j * axis[None, :]).ravel()
+    a, b = np.divmod(np.flatnonzero(np.abs(lattice) <= radius + 1e-12), axis.size)
+    u, v = np.abs(a - k), np.abs(b - k)
+    _, orbit, sizes = np.unique(
+        np.maximum(u, v) * (k + 1) + np.minimum(u, v), return_inverse=True, return_counts=True
+    )
+    W = float(radius + 4.0 * np.sqrt(t))
+    x, w = np.polynomial.legendre.leggauss(80)
+    x, w = W * x, W * w
+    E = np.exp(-((x[:, None] - axis[None, :]) ** 2) / t)
+    G1 = E.T @ (w[:, None] * E)
+    g = np.exp(-(x**2) / s)
+    r1 = E.T @ (w * g)
+    rhs = np.bincount(orbit, weights=r1[a] * r1[b] / (np.pi**2 * s * t))
+    V = np.zeros((sizes.size, axis.size, axis.size))
+    V[orbit, a, b] = 1.0
+    Y = G1 @ (V @ G1)
+    Gr = V.reshape(sizes.size, -1) @ Y.reshape(sizes.size, -1).T / (np.pi * t) ** 2
+    d = np.diag(G1)
+    ridge = RIDGE * float(d[a] @ d[b]) / (np.pi * t) ** 2 / a.size
+    c = np.linalg.solve(Gr + np.diag(ridge * sizes), rhs)[orbit]
+    c = c / np.sum(c)
+    C = np.zeros((axis.size, axis.size))
+    C[a, b] = c
+    err = np.outer(g, g) / (np.pi * s) - (E @ C @ E.T) / (np.pi * t)
+    return c, float(w @ np.abs(err) @ w)
+
+
+@pytest.mark.parametrize("N", [2, 4, 8])
+def test_eight_image_normal_matrix_matches_orbit_indicators(N):
+    # the same orbit normal matrix summed over orbit indicators: only the
+    # summation order differs, which the 1e-8-ridge normal equations
+    # amplify to relative coefficient deltas of 2.5e-8 (N = 2), 1.3e-7
+    # (N = 4) and 2.7e-7 (N = 8) on one BLAS thread, 2.9e-7 at N = 8 on
+    # two, and to residual deltas of at most 7.1e-9 (N = 8, two threads);
+    # the dense assembly above stops at N = 4: at N = 8 it peaks at 239 MB
+    fit = fit_heat_kernel(P, N)
+    c, resid = _orbit_indicator_fit(P, N)
+    assert fit.ridge == RIDGE
+    assert np.max(np.abs(fit.coefficients - c)) <= 1e-6 * np.max(np.abs(c))
+    assert abs(fit.l1_residual - resid) <= 1e-8
+
+
 def test_fit_builds_no_dense_design_matrix():
     # the dense assembly peaks at 239 MB here (6400 x 1117 complex design
-    # matrix and two real copies); the factored one, solved on the 156
-    # lattice orbits, at about 6 MB
+    # matrix and two real copies); the orbit indicators and their Gram
+    # products (156 x 37 x 37 each) at 5.3 MB; the eight-image gathers of
+    # (156 x 156) at 0.95 MB
     tracemalloc.start()
     try:
         fit_heat_kernel(P, 8)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 40e6
+    assert peak < 1.5e6, peak
 
 
 _RSS_PROBE = """
@@ -177,8 +232,9 @@ print(rss_mb() - rss0, peak_mb() - peak0)
 def test_fit_returns_its_normal_matrix_memory():
     # a fresh interpreter, so that no earlier test has shaped the heap; the
     # fit solves for one coefficient per lattice orbit (156 at N = 8), and
-    # its largest arrays are the orbit indicators and their Gram products
-    # (1.7 MB each at N = 8): 2.1 MB stay resident and the peak rises 4.9 MB
+    # its largest arrays are the (orbits x orbits) normal matrix and its
+    # eight-image gathers (0.2 MB each at N = 8): measured -0.04 MB
+    # resident and a 0.45-0.51 MB peak rise
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.getenv("PYTHONPATH")]))}
     res = subprocess.run(
@@ -186,8 +242,8 @@ def test_fit_returns_its_normal_matrix_memory():
     )
     assert res.returncode == 0, res.stderr
     resident, peak = map(float, res.stdout.split())
-    assert resident < 8.0
-    assert peak < 20.0
+    assert resident < 1.0
+    assert peak < 2.0
 
 
 def test_symbol_from_identity_is_one():
@@ -606,7 +662,8 @@ def test_symbol_eval_validates_points(n):
 @pytest.mark.filterwarnings("ignore:.*trusted")
 def test_symbol_evaluation_memory():
     # one block of (point, translate) pairs is dim x 2234 complex values at
-    # D = 24, N = 8 (0.9 MB); measured peak 2.9 MiB for the whole evaluation
+    # D = 24, N = 8 (0.9 MB); measured peak 2.2 MiB for the whole evaluation
+    # with the conjugate taken in place (2.8 MiB with a conjugate copy)
     sym = build_symbol_from_berezin(weyl(P24, 0.5), fit_heat_kernel(P24, 8))
     pts = P24.grid().nodes
     tracemalloc.start()

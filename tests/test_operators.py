@@ -579,16 +579,6 @@ def test_blocks_cover_the_rows_in_order(count, row_bytes):
         assert sizes == [1] * count
 
 
-def test_toeplitz_blocks_only_move_the_boundaries(monkeypatch):
-    # one row per block against the default blocks; measured bit-identical
-    p = FockParams(2, 1.0, 6, 8)
-    f = _non_separable_symbols(2)[0]
-    want = toeplitz(p, f).matrix
-    monkeypatch.setattr(operators, "_CHUNK_BYTES", 1)
-    got = toeplitz(p, f).matrix
-    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
-
-
 def test_berezin_of_identity_is_one():
     pts = np.array([0.0, 1.0, 1.5j, 2.0 - 1.0j])[:, None]
     vals = berezin_values(identity_operator(P), pts)
@@ -1106,6 +1096,20 @@ def test_heat_values_blocks_only_move_the_boundaries(monkeypatch):
     want = heat_values(f, 0.7, pts)
     monkeypatch.setattr(operators, "_CHUNK_BYTES", 1)
     got = heat_values(f, 0.7, pts)
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+def test_heat_values_blocks_only_move_the_boundaries_in_two_variables(monkeypatch):
+    # a non-Gaussian symbol takes the quadrature path; at Q = 6 a default
+    # block holds 25 points' 1296 shifted copies, so 40 points make two
+    # blocks, against one point per block; measured 8.8e-16 of max |value|
+    Q, f = 6, _non_separable_symbols(2)[0]
+    assert 1 < _CHUNK_BYTES // (16 * 2 * Q**4) < 40
+    rng = np.random.default_rng(12)
+    pts = rng.standard_normal((40, 2)) + 1j * rng.standard_normal((40, 2))
+    want = heat_values(f, 0.7, pts, Q=Q)
+    monkeypatch.setattr(operators, "_CHUNK_BYTES", 1)
+    got = heat_values(f, 0.7, pts, Q=Q)
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
